@@ -54,14 +54,6 @@ log = logging.getLogger("rqbm.cli")
 _SENTINEL = object()  # marks "flag not given" so config/file defaults can fill in
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
-
-
 def _atomic_write(path: str, text: str) -> None:
     path = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".rqbm-", suffix=".tmp")
@@ -77,32 +69,68 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_table(path: str, fmt: str, header: list[str], rows: list[list],
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % float(v)
+
+
+def _json_cell(v) -> str:
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return "null"
+    return json.dumps(v)
+
+
+def _column(col, fmt: str) -> tuple[str, list]:
+    """A column's field in the line template, and the values that fill it.
+
+    A float64 array is formatted by the template itself: "%.17g" in CSV, and
+    in JSON "%s", which prints a float as its shortest repr as json does;
+    only its non-finite values become JSON cell strings.  Any other column
+    becomes cell strings one value at a time.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        if fmt == "csv":
+            return "%.17g", col.tolist()
+        values = col.tolist()
+        for i in np.flatnonzero(~np.isfinite(col)):
+            values[i] = _json_cell(values[i])
+        return "%s", values
+    return "%s", list(map(_csv_cell if fmt == "csv" else _json_cell, col))
+
+
+def _write_table(path: str, fmt: str, header: list[str], columns: list,
                  footer: dict | None = None) -> None:
+    """Write equal-length columns (arrays or sequences) as CSV or its JSON mirror.
+
+    CSV rows are `_csv_cell` cells ("%.17g", empty for None) joined by commas,
+    then one `# key = value` line per footer entry.  JSON is exactly
+    json.dumps({"rows": [...], "diagnostics": footer}, indent=2) with NaN
+    written as null; each row fills one record template.
+    """
+    parts = [_column(col, fmt) for col in columns]
+    rows = zip(*(values for _, values in parts), strict=True)
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-        if footer:
-            for key, val in footer.items():
-                lines.append(f"# {key} = {_fmt(val) if not isinstance(val, str) else val}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        line = ",".join(field for field, _ in parts)
+        lines = [",".join(header), *[line % row for row in rows]]
+        lines += [f"# {k} = {_csv_cell(v)}" for k, v in (footer or {}).items()]
+        text = "\n".join(lines) + "\n"
     else:
-        recs = []
-        for row in rows:
-            rec = {}
-            for key, val in zip(header, row):
-                if isinstance(val, float) and math.isnan(val):
-                    val = None
-                rec[key] = val
-            recs.append(rec)
-        doc: dict = {"rows": recs}
+        rec = "    {\n" + ",\n".join(
+            f"      {json.dumps(h).replace('%', '%%')}: {field}"
+            for h, (field, _) in zip(header, parts)) + "\n    }"
+        body = ",\n".join([rec % row for row in rows])
+        text = '{\n  "rows": ' + (f"[\n{body}\n  ]" if body else "[]")
         if footer:
-            doc["diagnostics"] = {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in footer.items()
-            }
-        _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+            items = ",\n".join(f"    {json.dumps(k)}: {_json_cell(v)}"
+                               for k, v in footer.items())
+            text += f',\n  "diagnostics": {{\n{items}\n  }}'
+        text += "\n}\n"
+    _atomic_write(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +272,28 @@ def _run_dispersion(args: argparse.Namespace) -> int:
               + [f"res{i}" for i in range(1, 5)]
               + [f"branch{i}" for i in range(1, 5)]
               + ["asym_low_re", "asym_low_im"])
-    rows = []
+    res = [[] for _ in range(deg)]
+    asym = []
     for j, k in enumerate(k_grid):
         poly = build_polynomial(params, float(k))
-        row: list = [params.model.value, float(k)]
-        for i in range(4):
-            if i < deg:
-                w = curve.branches[i, j]
-                row += [w.real, w.imag]
-            else:
-                row += [None, None]
-        for i in range(4):
-            if i < deg:
-                w = curve.branches[i, j]
-                den = poly.residual_scale(w)
-                row.append(abs(poly(w)) / den if den > 0 else 0.0)
-            else:
-                row.append(None)
-        row += [curve.labels[i] if i < deg else "" for i in range(4)]
+        for i in range(deg):
+            w = curve.branches[i, j]
+            den = poly.residual_scale(w)
+            res[i].append(abs(poly(w)) / den if den > 0 else 0.0)
         try:
-            asym = asymptotic_omega(params, float(k), "low")
-            row += [asym.real, asym.imag]
+            asym.append(asymptotic_omega(params, float(k), "low"))
         except UnsupportedRegimeError:
-            row += [None, None]
-        rows.append(row)
-    _write_table(cfg["out"], fmt, header, rows)
-    log.info("wrote %d rows to %s", len(rows), cfg["out"])
+            asym.append(None)
+    missing = [None] * len(k_grid)
+    columns = [[params.model.value] * len(k_grid), k_grid]
+    for i in range(4):
+        columns += [curve.branches[i].real, curve.branches[i].imag] if i < deg else [missing] * 2
+    columns += [res[i] if i < deg else missing for i in range(4)]
+    columns += [[curve.labels[i] if i < deg else ""] * len(k_grid) for i in range(4)]
+    columns += [[None if a is None else a.real for a in asym],
+                [None if a is None else a.imag for a in asym]]
+    _write_table(cfg["out"], fmt, header, columns)
+    log.info("wrote %d rows to %s", len(k_grid), cfg["out"])
     return 0
 
 
@@ -309,14 +333,12 @@ def _run_evolve(args: argparse.Namespace) -> int:
             raise InputError(f"--k must be finite and >= 0, got {k!r}")
         econf = EvolutionConfig(dt=dt, steps=steps, snapshot_stride=stride)
         init = DensityModeState(k=np.array([k]), derivs=np.array([[1.0, 0.0, 0.0, 0.0]]))
-        rows = []
-        for j in range(steps // stride + 1):
-            t = j * stride * dt
-            state = evolve_density(params, init, t) if t else init
-            rows.append([t, k, state.rho[0].real, state.rho[0].imag])
+        ts = [j * stride * dt for j in range(steps // stride + 1)]
+        rho = [(evolve_density(params, init, t) if t else init).rho[0] for t in ts]
         path = os.path.join(outdir, f"density.{fmt}")
-        _write_table(path, fmt, ["t", "k", "re_rho", "im_rho"], rows)
-        log.info("wrote %d density samples to %s", len(rows), path)
+        _write_table(path, fmt, ["t", "k", "re_rho", "im_rho"],
+                     [ts, [k] * len(ts), [r.real for r in rho], [r.imag for r in rho]])
+        log.info("wrote %d density samples to %s", len(ts), path)
         return 0
 
     if params.model is not Model.CONSERVATIVE:
@@ -358,7 +380,6 @@ def _run_evolve(args: argparse.Namespace) -> int:
     traj_rows = []
     prior = None
     for s, (prev, nxt) in zip(snaps, trips):
-        x = grid.x
         if zero_run:
             q = np.zeros(grid.n)
             rho = np.zeros(grid.n)
@@ -374,15 +395,14 @@ def _run_evolve(args: argparse.Namespace) -> int:
             rho, sph = f1.rho, f1.S
             traj_rows.append([s.t, diag.N, diag.N_mod, diag.E,
                               diag.continuity_residual, diag.hj_residual])
-        snap_rows = [[x[i], s.psi.values[i].real, s.psi.values[i].imag,
-                      rho[i], sph[i], q[i]] for i in range(grid.n)]
         _write_table(os.path.join(outdir, _snap_name(s.t, fmt)), fmt,
-                     ["x", "re_psi", "im_psi", "rho", "S", "Q"], snap_rows)
+                     ["x", "re_psi", "im_psi", "rho", "S", "Q"],
+                     [grid.x, s.psi.values.real, s.psi.values.imag, rho, sph, q])
 
     path = os.path.join(outdir, f"traj.{fmt}")
     _write_table(path, fmt,
                  ["t", "N", "N_mod", "E", "continuity_residual", "hj_residual"],
-                 traj_rows)
+                 list(zip(*traj_rows)))
     log.info("wrote %d snapshots and %s", len(snaps), path)
     return 0
 
@@ -457,7 +477,6 @@ def _run_madelung(args: argparse.Namespace) -> int:
     ok = f1.rho > FLOOR
     recon_err = float(np.max(np.abs(recon.values - psis[1])[ok])) if ok.any() else 0.0
 
-    rows = [[x[i], f1.rho[i], f1.S[i], q[i]] for i in range(grid.n)]
     footer = {
         "t": diag.t,
         "N": diag.N,
@@ -468,7 +487,7 @@ def _run_madelung(args: argparse.Namespace) -> int:
         "excluded_fraction": diag.excluded_fraction,
         "reconstruction_error": recon_err,
     }
-    _write_table(cfg["out"], fmt, ["x", "rho", "S", "Q"], rows, footer=footer)
+    _write_table(cfg["out"], fmt, ["x", "rho", "S", "Q"], [x, f1.rho, f1.S, q], footer=footer)
     log.info("wrote %s (hj_residual = %.3e)", cfg["out"], diag.hj_residual)
     return 0
 
@@ -515,10 +534,10 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     else:
         eps = nonrel_eigen(pot, grid, levels)
     result = relativistic_map(eps)
-    rows = [[i, result.epsilon[i], result.E[i], result.E_series[i], result.rel_gap[i]]
-            for i in range(len(eps))]
-    _write_table(cfg["out"], fmt, ["n", "epsilon", "E", "E_series", "rel_gap"], rows)
-    log.info("wrote %d levels to %s", len(rows), cfg["out"])
+    _write_table(cfg["out"], fmt, ["n", "epsilon", "E", "E_series", "rel_gap"],
+                 [list(range(len(eps))), result.epsilon, result.E, result.E_series,
+                  result.rel_gap])
+    log.info("wrote %d levels to %s", len(eps), cfg["out"])
     return 0
 
 
@@ -533,7 +552,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="seed for randomized sweeps (reserved; runs are deterministic)")
 
 
-def _add_model(sub: argparse.ArgumentParser, required: bool) -> None:
+def _add_model(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", default=_SENTINEL,
                      help="conservative, collisional, radiative, phase-diffusion, "
                           "dalembert-diffusion")
@@ -554,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dispersion", help="sweep k and write certified roots")
     _add_common(p)
-    _add_model(p, required=True)
+    _add_model(p)
     p.add_argument("--k-min", dest="k_min", type=float, default=_SENTINEL)
     p.add_argument("--k-max", dest="k_max", type=float, default=_SENTINEL)
     p.add_argument("--k-steps", dest="k_steps", type=int, default=_SENTINEL)
@@ -563,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("evolve", help="evolve the field or a density mode")
     _add_common(p)
-    _add_model(p, required=False)
+    _add_model(p)
     p.add_argument("--n", type=int, default=_SENTINEL)
     p.add_argument("--length", type=float, default=_SENTINEL)
     p.add_argument("--dt", type=float, default=_SENTINEL)
@@ -584,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("madelung", help="decompose three snapshots and report residuals")
     _add_common(p)
-    _add_model(p, required=False)
+    _add_model(p)
     p.add_argument("--snapshots", nargs=3, default=_SENTINEL,
                    metavar=("T0", "T1", "T2"))
     p.set_defaults(func=_run_madelung)

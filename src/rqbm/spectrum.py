@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, InputError, NumericalFailureError, UnsupportedError
 from .grid import Grid1D
@@ -72,6 +71,9 @@ def box_levels(width: float, count: int) -> np.ndarray:
 
 
 def _dirichlet_eigen(u: np.ndarray, h: float, count: int) -> np.ndarray:
+    # scipy costs ~0.3 s to import, so only the eigensolver loads it
+    from scipy.linalg import eigh_tridiagonal
+
     diag = 1.0 / (h * h) + u
     off = np.full(len(u) - 1, -0.5 / (h * h))
     try:
@@ -115,7 +117,12 @@ def nonrel_eigen_richardson(potential: PotentialSpec, grid: Grid1D, count: int) 
     if isinstance(potential, Tabulated):
         raise UnsupportedError("tabulated potentials cannot be grid-refined")
     coarse = nonrel_eigen(potential, grid, count)
-    fine = nonrel_eigen(potential, Grid1D(2 * grid.n, grid.length), count)
+    if isinstance(potential, Box):
+        # the box mesh is width/(n + 1); halving it takes 2n + 1 interior points
+        h = potential.width / (grid.n + 1)
+        fine = _dirichlet_eigen(np.zeros(2 * grid.n + 1), h / 2, count)
+    else:
+        fine = nonrel_eigen(potential, Grid1D(2 * grid.n, grid.length), count)
     return (4.0 * fine - coarse) / 3.0
 
 

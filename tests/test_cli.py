@@ -1,12 +1,16 @@
-"""End-to-end command-line tests (subprocess, real exit codes and files)."""
+"""End-to-end command-line tests (subprocess, real exit codes and files), and
+the byte contract of the table writer they produce."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from rqbm.cli import _write_table
 
 DISPERSION_HEADER = (
     "model,k,re_w1,im_w1,re_w2,im_w2,re_w3,im_w3,re_w4,im_w4,"
@@ -29,6 +33,20 @@ def run(*argv, env_extra=None):
 def read_csv_lines(path):
     with open(path) as f:
         return f.read().splitlines()
+
+
+def csv_footer(lines):
+    return {l[2:].split(" = ")[0]: l.split(" = ")[1] for l in lines if l.startswith("# ")}
+
+
+def csv_columns(lines):
+    header = lines[0].split(",")
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("# ")]
+    return {h: [float(r[j]) for r in rows] for j, h in enumerate(header)}
+
+
+def json_columns(doc):
+    return {h: [r[h] for r in doc["rows"]] for h in doc["rows"][0]}
 
 
 class TestDispersionCommand:
@@ -184,11 +202,7 @@ class TestMadelungCommand:
         assert r.returncode == 0, r.stderr
         lines = read_csv_lines(out)
         assert lines[0] == "x,rho,S,Q"
-        footer = {
-            l[2:].split(" = ")[0]: l.split(" = ")[1]
-            for l in lines
-            if l.startswith("# ")
-        }
+        footer = csv_footer(lines)
         assert set(footer) == {
             "t", "N", "N_mod", "E", "continuity_residual", "hj_residual",
             "excluded_fraction", "reconstruction_error",
@@ -196,6 +210,35 @@ class TestMadelungCommand:
         assert float(footer["N"]) == pytest.approx(1.0, abs=1e-9)
         assert float(footer["hj_residual"]) < 1e-3
         assert float(footer["reconstruction_error"]) < 1e-12
+
+    def test_csv_and_json_round_trips_agree_exactly(self, tmp_path):
+        # %.17g and repr both round-trip a double, so the two formats must
+        # carry identical values through evolve -> madelung
+        snaps, fluid = {}, {}
+        for fmt in ("csv", "json"):
+            rundir = tmp_path / fmt
+            r = run("evolve", "--out", rundir, "--format", fmt, "--n", "64",
+                    "--length", "40", "--sigma", "3", "--dt", "0.01", "--steps", "2")
+            assert r.returncode == 0, r.stderr
+            out = tmp_path / f"fluid.{fmt}"
+            r = run("madelung", "--out", out, "--format", fmt, "--snapshots",
+                    *(rundir / f"snap_{t}.{fmt}" for t in ("0", "0.01", "0.02")))
+            assert r.returncode == 0, r.stderr
+            if fmt == "csv":
+                snaps[fmt] = csv_columns(read_csv_lines(rundir / "snap_0.01.csv"))
+                lines = read_csv_lines(out)
+                fluid[fmt] = (csv_columns(lines),
+                              {k: float(v) for k, v in csv_footer(lines).items()})
+            else:
+                snaps[fmt] = json_columns(json.loads((rundir / "snap_0.01.json").read_text()))
+                doc = json.loads(out.read_text())
+                fluid[fmt] = (json_columns(doc), doc["diagnostics"])
+        assert snaps["csv"] == snaps["json"]
+        cols_csv, foot_csv = fluid["csv"]
+        cols_json, foot_json = fluid["json"]
+        assert foot_csv == foot_json
+        for name in ("x", "rho", "S", "Q"):
+            assert cols_csv[name] == cols_json[name], name
 
     def test_inconsistent_snapshot_times_rejected(self, tmp_path):
         rundir = tmp_path / "run"
@@ -233,3 +276,84 @@ class TestTopLevel:
         r = run("--version")
         assert r.returncode == 0
         assert r.stdout.strip().startswith("rqbm ")
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, rqbm.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+
+def expected_csv(header, columns, footer):
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return "%.17g" % float(v)
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(col[i]) for col in columns) for i in range(len(columns[0]))]
+    lines += [f"# {k} = {cell(v)}" for k, v in footer.items()]
+    return "\n".join(lines) + "\n"
+
+
+def expected_json(header, columns, footer):
+    def value(v):
+        return None if isinstance(v, float) and math.isnan(v) else v
+
+    rows = [{h: value(col[i]) for h, col in zip(header, columns)}
+            for i in range(len(columns[0]))]
+    doc = {"rows": rows}
+    if footer:
+        doc["diagnostics"] = {k: value(v) for k, v in footer.items()}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-17]
+FINITE = [-0.0, 5e-324, 1e300, 0.1, -2.5e-17, 1.0, 2.2250738585072014e-308, 1 / 3]
+WRITER_HEADER = ["x", "finite", "mixed", "rel%s", "label", "n"]
+WRITER_COLUMNS = [
+    np.array(SPECIALS),
+    np.array(FINITE),
+    [None, 1.5, math.nan, 7, -0.0, math.inf, np.float64(1e300), None],
+    np.array(SPECIALS[::-1]) * 3.0,
+    ["a", "", 'say "hi"', "\u00e9", "b", "c", "d", "e"],
+    list(range(8)),
+]
+WRITER_FOOTER = {"t": 0.25, "bad": math.nan, "count": 3, "note": "ok", "huge": -math.inf}
+
+
+class TestWriterByteContract:
+    @pytest.mark.parametrize("footer", [None, WRITER_FOOTER])
+    def test_csv_bytes(self, tmp_path, footer):
+        columns = WRITER_COLUMNS + [np.arange(8, dtype=np.int64)]
+        header = WRITER_HEADER + ["i64"]
+        path = tmp_path / "t.csv"
+        _write_table(str(path), "csv", header, columns, footer=footer)
+        assert path.read_text() == expected_csv(header, columns, footer or {})
+
+    @pytest.mark.parametrize("footer", [None, WRITER_FOOTER])
+    def test_json_bytes(self, tmp_path, footer):
+        path = tmp_path / "t.json"
+        _write_table(str(path), "json", WRITER_HEADER, WRITER_COLUMNS, footer=footer)
+        assert path.read_text() == expected_json(WRITER_HEADER, WRITER_COLUMNS, footer)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("footer", [None, {"N": math.nan}])
+    def test_empty_table(self, tmp_path, fmt, footer):
+        header = ["x", "y"]
+        columns = [np.array([]), []]
+        path = tmp_path / f"t.{fmt}"
+        _write_table(str(path), fmt, header, columns, footer=footer)
+        expect = expected_csv if fmt == "csv" else expected_json
+        assert path.read_text() == expect(header, columns, footer or {})
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_table(str(tmp_path / "t.csv"), "csv", ["a", "b"],
+                         [np.zeros(3), [1.0, 2.0]])

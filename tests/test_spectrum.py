@@ -67,6 +67,15 @@ class TestNonrelEigen:
         refined = np.abs(nonrel_eigen_richardson(Harmonic(omega0), g, 4) - exact)
         assert np.all(refined < 1e-2 * plain)
 
+    def test_box_richardson_is_fourth_order(self):
+        # the fine box mesh must be exactly half the coarse one, width/(n+1)
+        w = 10.0
+        exact = box_levels(w, 3)
+        errs = [np.abs(nonrel_eigen_richardson(Box(w), Grid1D(n, w), 3) - exact)
+                for n in (32, 64, 128)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert np.all(coarse / fine >= 12.0)
+
     def test_box_uses_its_own_mesh(self):
         w = 2.0
         eps_a = nonrel_eigen(Box(w), Grid1D(400, 10.0), 3)
