@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dispersion import asymptotic_omega, build_polynomial, track_branches
+from .dispersion import asymptotic_omega, track_branches
 from .errors import InputError, NumericalFailureError, UnsupportedRegimeError
 from .evolve import (
     DensityModeState,
@@ -134,7 +134,35 @@ def _write_table(path: str, fmt: str, header: list[str], columns: list,
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# options
+#
+# Each subcommand declares every option once, as a (name, kind, default, help)
+# row.  The rows build the argparse flags, the config-key whitelist, the
+# coercion of every resolved value and the "default name = value" log lines.
+# A kind is str, int, float, POSITIVE (a float > 0), a tuple of choices,
+# SWITCH (a flag without a value) or PATHS (exactly three paths).
+
+REQUIRED = object()  # default of an option that must be given
+POSITIVE, SWITCH, PATHS = "positive float", "switch", "three paths"
+
+COMMON = [
+    ("config", str, None, "YAML config file whose keys are the long flag names; "
+                          "flags override it"),
+    ("out", str, REQUIRED, "output path (directory for evolve)"),
+    ("format", ("csv", "json"), "csv", "output format"),
+    ("seed", int, None, "seed for randomized sweeps (reserved; runs are deterministic)"),
+]
+
+
+def _model_rows(default) -> list:
+    return [
+        ("model", str, default, "conservative, collisional, radiative, phase-diffusion, "
+                                "dalembert-diffusion"),
+        ("gamma", float, None, "collision rate"),
+        ("tau", float, None, "radiative memory time"),
+        ("diffusion", float, None, "phase diffusion constant"),
+    ]
+
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -153,112 +181,84 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _merge(args: argparse.Namespace, defaults: dict, required: set[str]) -> dict:
-    """Flags beat config values beat defaults; echo every default used."""
-    cfg = {}
-    if getattr(args, "config", None) not in (None, _SENTINEL):
-        raw = _load_config_file(args.config)
-        known = {d.replace("_", "-"): d for d in defaults}
-        for key, val in raw.items():
-            if key not in known:
-                raise InputError(
-                    f"unknown config key {key!r}; valid keys: {', '.join(sorted(known))}"
-                )
-            cfg[known[key]] = val
-
-    merged = {}
-    for dest, default in defaults.items():
-        flag_val = getattr(args, dest, _SENTINEL)
-        if flag_val is not _SENTINEL:
-            merged[dest] = flag_val
-            if dest in cfg:
-                log.info("flag --%s=%r overrides config value %r",
-                         dest.replace("_", "-"), flag_val, cfg[dest])
-        elif dest in cfg:
-            merged[dest] = cfg[dest]
-        else:
-            merged[dest] = default
-            if dest not in ("config",):
-                log.info("default %s = %r", dest.replace("_", "-"), default)
-    for dest in required:
-        if merged.get(dest) is None:
-            raise InputError(f"missing required option --{dest.replace('_', '-')}")
-    return merged
-
-
-def _as_float(cfg: dict, key: str, positive: bool = False):
-    val = cfg[key]
-    if val is None:
-        return None
+def _coerce(name: str, kind, val):
+    """Check one resolved value against its option's kind; None stays unset."""
+    if val is None or kind in (str, SWITCH):
+        return val
+    if kind is int:
+        if isinstance(val, bool) or not (isinstance(val, (int, np.integer)) or (
+                isinstance(val, str) and val.lstrip("+-").isdigit())):
+            raise InputError(f"--{name} expects an integer, got {val!r}")
+        return int(val)
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise InputError(f"--{name} must be one of {', '.join(kind)}; got {val!r}")
+        return val
+    if kind is PATHS:
+        if not (isinstance(val, (list, tuple)) and len(val) == 3):
+            raise InputError(f"--{name} takes exactly three paths")
+        return [str(p) for p in val]
     try:
         out = float(val)
     except (TypeError, ValueError):
-        raise InputError(f"--{key.replace('_', '-')} expects a number, got {val!r}")
-    if positive and not (np.isfinite(out) and out > 0):
-        raise InputError(f"--{key.replace('_', '-')} must be positive, got {out}")
+        raise InputError(f"--{name} expects a number, got {val!r}")
+    if kind is POSITIVE and not (np.isfinite(out) and out > 0):
+        raise InputError(f"--{name} must be positive, got {out}")
     return out
 
 
-def _as_int(cfg: dict, key: str):
-    val = cfg[key]
-    if val is None:
-        return None
-    if isinstance(val, bool) or (not isinstance(val, (int, np.integer))
-                                 and not (isinstance(val, str) and val.lstrip("+-").isdigit())):
-        raise InputError(f"--{key.replace('_', '-')} expects an integer, got {val!r}")
-    return int(val)
-
-
-def _as_choice(cfg: dict, key: str, choices: tuple):
-    val = cfg[key]
-    if val is None:
-        return None
-    if val not in choices:
-        raise InputError(
-            f"--{key.replace('_', '-')} must be one of {', '.join(choices)}; got {val!r}"
-        )
-    return val
+def _resolve(args: argparse.Namespace, options: list) -> dict:
+    """Typed values of every option, keyed by dest: flags beat config values
+    beat defaults.  Echoes every default used, and checks every value, also
+    those of options the run ignores."""
+    file_cfg = {} if args.config is _SENTINEL else _load_config_file(args.config)
+    known = [name for name, *_ in options]
+    for key in file_cfg:
+        if key not in known:
+            raise InputError(f"unknown config key {key!r}; valid keys: {', '.join(sorted(known))}")
+    cfg = {}
+    for name, kind, default, _ in options:
+        dest = name.replace("-", "_")
+        val = getattr(args, dest)
+        if val is not _SENTINEL:
+            if name in file_cfg:
+                log.info("flag --%s=%r overrides config value %r", name, val, file_cfg[name])
+        elif name in file_cfg:
+            val = file_cfg[name]
+        else:
+            val = default
+            if default is not REQUIRED and name != "config":
+                log.info("default %s = %r", name, default)
+        if default is REQUIRED and (val is None or val is REQUIRED):
+            raise InputError(f"missing required option --{name}")
+        cfg[dest] = _coerce(name, kind, val)
+    return cfg
 
 
 def _model_params(cfg: dict) -> ModelParams:
     model = model_from_name(str(cfg["model"]))
-    return ModelParams(
-        model,
-        gamma=_as_float(cfg, "gamma"),
-        tau=_as_float(cfg, "tau"),
-        diffusion=_as_float(cfg, "diffusion"),
-    )
-
-
-def _seed_note(cfg: dict) -> None:
-    seed = _as_int(cfg, "seed")
-    if seed is not None:
-        log.info("seed = %d (reserved for randomized sweeps; built-in runs are "
-                 "deterministic)", seed)
+    return ModelParams(model, gamma=cfg["gamma"], tau=cfg["tau"], diffusion=cfg["diffusion"])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_dispersion(args: argparse.Namespace) -> int:
-    defaults = {
-        "config": None, "out": None, "format": "csv", "seed": None,
-        "model": None, "gamma": None, "tau": None, "diffusion": None,
-        "k_min": 0.01, "k_max": 10.0, "k_steps": 200, "k_scale": "log",
-    }
-    cfg = _merge(args, defaults, required={"model", "out"})
-    _seed_note(cfg)
+DISPERSION = COMMON + _model_rows(REQUIRED) + [
+    ("k-min", float, 0.01, "smallest k"),
+    ("k-max", float, 10.0, "largest k"),
+    ("k-steps", int, 200, "number of k points"),
+    ("k-scale", ("log", "linear"), "log", "spacing of the k points"),
+]
+
+
+def _run_dispersion(cfg: dict) -> int:
     params = _model_params(cfg)
-    fmt = _as_choice(cfg, "format", ("csv", "json"))
-    scale = _as_choice(cfg, "k_scale", ("log", "linear"))
-    k_min = _as_float(cfg, "k_min")
-    k_max = _as_float(cfg, "k_max")
-    k_steps = _as_int(cfg, "k_steps")
+    k_min, k_max, k_steps = cfg["k_min"], cfg["k_max"], cfg["k_steps"]
     if k_steps is None or k_steps < 2:
         raise InputError("--k-steps must be an integer >= 2")
     if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 <= k_min < k_max):
         raise InputError(f"need 0 <= k-min < k-max, got [{k_min}, {k_max}]")
-    if scale == "log":
+    if cfg["k_scale"] == "log":
         if k_min <= 0:
             raise InputError("log-spaced sweeps need k-min > 0 (use --k-scale linear)")
         k_grid = np.geomspace(k_min, k_max, k_steps)
@@ -272,14 +272,8 @@ def _run_dispersion(args: argparse.Namespace) -> int:
               + [f"res{i}" for i in range(1, 5)]
               + [f"branch{i}" for i in range(1, 5)]
               + ["asym_low_re", "asym_low_im"])
-    res = [[] for _ in range(deg)]
     asym = []
-    for j, k in enumerate(k_grid):
-        poly = build_polynomial(params, float(k))
-        for i in range(deg):
-            w = curve.branches[i, j]
-            den = poly.residual_scale(w)
-            res[i].append(abs(poly(w)) / den if den > 0 else 0.0)
+    for k in k_grid:
         try:
             asym.append(asymptotic_omega(params, float(k), "low"))
         except UnsupportedRegimeError:
@@ -288,11 +282,11 @@ def _run_dispersion(args: argparse.Namespace) -> int:
     columns = [[params.model.value] * len(k_grid), k_grid]
     for i in range(4):
         columns += [curve.branches[i].real, curve.branches[i].imag] if i < deg else [missing] * 2
-    columns += [res[i] if i < deg else missing for i in range(4)]
+    columns += [curve.residuals[i] if i < deg else missing for i in range(4)]
     columns += [[curve.labels[i] if i < deg else ""] * len(k_grid) for i in range(4)]
     columns += [[None if a is None else a.real for a in asym],
                 [None if a is None else a.imag for a in asym]]
-    _write_table(cfg["out"], fmt, header, columns)
+    _write_table(cfg["out"], cfg["format"], header, columns)
     log.info("wrote %d rows to %s", len(k_grid), cfg["out"])
     return 0
 
@@ -301,37 +295,41 @@ def _snap_name(t: float, fmt: str) -> str:
     return f"snap_{t:.12g}.{fmt}"
 
 
-def _run_evolve(args: argparse.Namespace) -> int:
-    defaults = {
-        "config": None, "out": None, "format": "csv", "seed": None,
-        "model": "conservative", "gamma": None, "tau": None, "diffusion": None,
-        "n": 256, "length": 100.0, "dt": 0.01, "steps": 100,
-        "method": "exact-mode", "snapshot_stride": 1,
-        # kbar defaults to an at-rest packet: a drift that is not an exact
-        # grid mode winds fractionally at the periodic seam and poisons the
-        # pointwise residual columns (the integral charges are unaffected)
-        "init": "gaussian", "sigma": 8.0, "kbar": 0.0,
-        "mode_k": None, "amplitude": 1.0,
-        "density": False, "k": 0.1,
-        "potential": "none", "omega0": None,
-    }
-    cfg = _merge(args, defaults, required={"out"})
-    _seed_note(cfg)
+EVOLVE = COMMON + _model_rows("conservative") + [
+    ("n", int, 256, "grid points"),
+    ("length", POSITIVE, 100.0, "periodic box length"),
+    ("dt", POSITIVE, 0.01, "time step"),
+    ("steps", int, 100, "number of time steps"),
+    ("method", ("exact-mode", "stepper"), "exact-mode", "field evolution method"),
+    ("snapshot-stride", int, 1, "steps between written snapshots"),
+    ("init", ("gaussian", "plane-wave", "zero"), "gaussian", "initial field"),
+    ("sigma", POSITIVE, 8.0, "Gaussian packet width"),
+    # kbar defaults to an at-rest packet: a drift that is not an exact grid
+    # mode winds fractionally at the periodic seam and poisons the pointwise
+    # residual columns (the integral charges are unaffected)
+    ("kbar", float, 0.0, "Gaussian packet mean wavenumber"),
+    ("mode-k", float, None, "plane-wave wavenumber, a grid mode (--init plane-wave)"),
+    ("amplitude", float, 1.0, "plane-wave amplitude"),
+    ("density", SWITCH, False, "evolve a linearized density mode instead of the field"),
+    ("k", float, 0.1, "density mode wavenumber"),
+    ("potential", ("none", "harmonic"), "none", "external potential of the field"),
+    ("omega0", POSITIVE, None, "harmonic frequency (--potential harmonic)"),
+]
+
+
+def _run_evolve(cfg: dict) -> int:
     params = _model_params(cfg)
-    fmt = _as_choice(cfg, "format", ("csv", "json"))
-    dt = _as_float(cfg, "dt", positive=True)
-    steps = _as_int(cfg, "steps")
-    stride = _as_int(cfg, "snapshot_stride")
+    fmt, dt, steps, stride = cfg["format"], cfg["dt"], cfg["steps"], cfg["snapshot_stride"]
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
 
     if cfg["density"]:
         if params.model is Model.CONSERVATIVE:
             raise InputError("--density needs a dissipative model")
-        k = _as_float(cfg, "k")
+        k = cfg["k"]
         if k is None or not (np.isfinite(k) and k >= 0):
             raise InputError(f"--k must be finite and >= 0, got {k!r}")
-        econf = EvolutionConfig(dt=dt, steps=steps, snapshot_stride=stride)
+        EvolutionConfig(dt=dt, steps=steps, snapshot_stride=stride)  # validates all three
         init = DensityModeState(k=np.array([k]), derivs=np.array([[1.0, 0.0, 0.0, 0.0]]))
         ts = [j * stride * dt for j in range(steps // stride + 1)]
         rho = [(evolve_density(params, init, t) if t else init).rho[0] for t in ts]
@@ -346,32 +344,25 @@ def _run_evolve(args: argparse.Namespace) -> int:
             "field evolution integrates the conservative law; dissipative "
             "models evolve linearized densities (use --density)"
         )
-    n = _as_int(cfg, "n")
-    length = _as_float(cfg, "length", positive=True)
-    grid = Grid1D(n, length)
+    grid = Grid1D(cfg["n"], cfg["length"])
 
-    init_kind = _as_choice(cfg, "init", ("gaussian", "plane-wave", "zero"))
-    if init_kind == "gaussian":
-        psi = gaussian_packet(grid, _as_float(cfg, "sigma", positive=True),
-                              _as_float(cfg, "kbar"))
-    elif init_kind == "plane-wave":
-        mode_k = _as_float(cfg, "mode_k")
-        if mode_k is None:
+    if cfg["init"] == "gaussian":
+        psi = gaussian_packet(grid, cfg["sigma"], cfg["kbar"])
+    elif cfg["init"] == "plane-wave":
+        if cfg["mode_k"] is None:
             raise InputError("--init plane-wave requires --mode-k")
-        psi = plane_wave(grid, mode_k, _as_float(cfg, "amplitude"))
+        psi = plane_wave(grid, cfg["mode_k"], cfg["amplitude"])
     else:
         psi = ComplexField(grid, np.zeros(grid.n, dtype=np.complex128))
 
-    method = _as_choice(cfg, "method", ("exact-mode", "stepper")).replace("-", "_")
-    econf = EvolutionConfig(dt=dt, steps=steps, method=method, snapshot_stride=stride)
+    econf = EvolutionConfig(dt=dt, steps=steps, method=cfg["method"].replace("-", "_"),
+                            snapshot_stride=stride)
 
-    pot_kind = _as_choice(cfg, "potential", ("none", "harmonic"))
     potential = None
-    if pot_kind == "harmonic":
-        omega0 = _as_float(cfg, "omega0", positive=True)
-        if omega0 is None:
+    if cfg["potential"] == "harmonic":
+        if cfg["omega0"] is None:
             raise InputError("--potential harmonic requires --omega0")
-        potential = 0.5 * omega0**2 * grid.x**2
+        potential = 0.5 * cfg["omega0"]**2 * grid.x**2
 
     state = particle_branch_project(psi)
     snaps, trips = evolve_field(state, econf, potential=potential, return_triples=True)
@@ -435,21 +426,14 @@ def _read_snapshot(path: str) -> tuple[np.ndarray, np.ndarray, float]:
     return x, psi, t
 
 
-def _run_madelung(args: argparse.Namespace) -> int:
-    defaults = {
-        "config": None, "out": None, "format": "csv", "seed": None,
-        "model": "conservative", "gamma": None, "tau": None, "diffusion": None,
-        "snapshots": None,
-    }
-    cfg = _merge(args, defaults, required={"out", "snapshots"})
-    _seed_note(cfg)
-    params = _model_params(cfg)
-    fmt = _as_choice(cfg, "format", ("csv", "json"))
-    paths = cfg["snapshots"]
-    if not (isinstance(paths, (list, tuple)) and len(paths) == 3):
-        raise InputError("--snapshots takes exactly three paths")
+MADELUNG = COMMON + _model_rows("conservative") + [
+    ("snapshots", PATHS, REQUIRED, "three consecutive snapshot files written by evolve"),
+]
 
-    xs, psis, ts = zip(*(_read_snapshot(str(p)) for p in paths))
+
+def _run_madelung(cfg: dict) -> int:
+    params = _model_params(cfg)
+    xs, psis, ts = zip(*(_read_snapshot(p) for p in cfg["snapshots"]))
     x = xs[0]
     for other in xs[1:]:
         if len(other) != len(x) or np.max(np.abs(other - x)) > 1e-12 * max(1.0, np.max(np.abs(x))):
@@ -487,36 +471,37 @@ def _run_madelung(args: argparse.Namespace) -> int:
         "excluded_fraction": diag.excluded_fraction,
         "reconstruction_error": recon_err,
     }
-    _write_table(cfg["out"], fmt, ["x", "rho", "S", "Q"], [x, f1.rho, f1.S, q], footer=footer)
+    _write_table(cfg["out"], cfg["format"], ["x", "rho", "S", "Q"], [x, f1.rho, f1.S, q],
+                 footer=footer)
     log.info("wrote %s (hj_residual = %.3e)", cfg["out"], diag.hj_residual)
     return 0
 
 
-def _run_spectrum(args: argparse.Namespace) -> int:
-    defaults = {
-        "config": None, "out": None, "format": "csv", "seed": None,
-        "potential": None, "omega0": None, "width": None, "potential_file": None,
-        "n": 1024, "length": 400.0, "levels": 8, "richardson": False,
-    }
-    cfg = _merge(args, defaults, required={"out", "potential"})
-    _seed_note(cfg)
-    fmt = _as_choice(cfg, "format", ("csv", "json"))
-    kind = _as_choice(cfg, "potential", ("free", "harmonic", "box", "tabulated"))
-    grid = Grid1D(_as_int(cfg, "n"), _as_float(cfg, "length", positive=True))
-    levels = _as_int(cfg, "levels")
+SPECTRUM = COMMON + [
+    ("potential", ("free", "harmonic", "box", "tabulated"), REQUIRED, "confining potential"),
+    ("omega0", POSITIVE, None, "harmonic frequency (--potential harmonic)"),
+    ("width", POSITIVE, None, "box width (--potential box)"),
+    ("potential-file", str, None, "text file of --n potential values (--potential tabulated)"),
+    ("n", int, 1024, "grid points"),
+    ("length", POSITIVE, 400.0, "domain length"),
+    ("levels", int, 8, "number of levels"),
+    ("richardson", SWITCH, False, "Richardson-extrapolate the levels on a halved mesh"),
+]
 
+
+def _run_spectrum(cfg: dict) -> int:
+    grid = Grid1D(cfg["n"], cfg["length"])
+    kind = cfg["potential"]
     if kind == "free":
         pot = Free()
     elif kind == "harmonic":
-        omega0 = _as_float(cfg, "omega0", positive=True)
-        if omega0 is None:
+        if cfg["omega0"] is None:
             raise InputError("--potential harmonic requires --omega0")
-        pot = Harmonic(omega0)
+        pot = Harmonic(cfg["omega0"])
     elif kind == "box":
-        width = _as_float(cfg, "width", positive=True)
-        if width is None:
+        if cfg["width"] is None:
             raise InputError("--potential box requires --width")
-        pot = Box(width)
+        pot = Box(cfg["width"])
     else:
         pf = cfg["potential_file"]
         if pf is None:
@@ -530,11 +515,11 @@ def _run_spectrum(args: argparse.Namespace) -> int:
         pot = Tabulated(vals)
 
     if cfg["richardson"]:
-        eps = nonrel_eigen_richardson(pot, grid, levels)
+        eps = nonrel_eigen_richardson(pot, grid, cfg["levels"])
     else:
-        eps = nonrel_eigen(pot, grid, levels)
+        eps = nonrel_eigen(pot, grid, cfg["levels"])
     result = relativistic_map(eps)
-    _write_table(cfg["out"], fmt, ["n", "epsilon", "E", "E_series", "rel_gap"],
+    _write_table(cfg["out"], cfg["format"], ["n", "epsilon", "E", "E_series", "rel_gap"],
                  [list(range(len(eps))), result.epsilon, result.E, result.E_series,
                   result.rel_gap])
     log.info("wrote %d levels to %s", len(eps), cfg["out"])
@@ -544,24 +529,6 @@ def _run_spectrum(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=_SENTINEL, help="YAML config file; flags override")
-    sub.add_argument("--out", default=_SENTINEL, help="output path (directory for evolve)")
-    sub.add_argument("--format", default=_SENTINEL, choices=("csv", "json"))
-    sub.add_argument("--seed", type=int, default=_SENTINEL,
-                     help="seed for randomized sweeps (reserved; runs are deterministic)")
-
-
-def _add_model(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", default=_SENTINEL,
-                     help="conservative, collisional, radiative, phase-diffusion, "
-                          "dalembert-diffusion")
-    sub.add_argument("--gamma", type=float, default=_SENTINEL, help="collision rate")
-    sub.add_argument("--tau", type=float, default=_SENTINEL, help="radiative memory time")
-    sub.add_argument("--diffusion", type=float, default=_SENTINEL,
-                     help="phase diffusion constant")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rqbm",
@@ -570,57 +537,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rqbm {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("dispersion", help="sweep k and write certified roots")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--k-min", dest="k_min", type=float, default=_SENTINEL)
-    p.add_argument("--k-max", dest="k_max", type=float, default=_SENTINEL)
-    p.add_argument("--k-steps", dest="k_steps", type=int, default=_SENTINEL)
-    p.add_argument("--k-scale", dest="k_scale", default=_SENTINEL, choices=("log", "linear"))
-    p.set_defaults(func=_run_dispersion)
-
-    p = subs.add_parser("evolve", help="evolve the field or a density mode")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--n", type=int, default=_SENTINEL)
-    p.add_argument("--length", type=float, default=_SENTINEL)
-    p.add_argument("--dt", type=float, default=_SENTINEL)
-    p.add_argument("--steps", type=int, default=_SENTINEL)
-    p.add_argument("--method", default=_SENTINEL, choices=("exact-mode", "stepper"))
-    p.add_argument("--snapshot-stride", dest="snapshot_stride", type=int, default=_SENTINEL)
-    p.add_argument("--init", default=_SENTINEL, choices=("gaussian", "plane-wave", "zero"))
-    p.add_argument("--sigma", type=float, default=_SENTINEL)
-    p.add_argument("--kbar", type=float, default=_SENTINEL)
-    p.add_argument("--mode-k", dest="mode_k", type=float, default=_SENTINEL)
-    p.add_argument("--amplitude", type=float, default=_SENTINEL)
-    p.add_argument("--density", action="store_const", const=True, default=_SENTINEL,
-                   help="evolve a linearized density mode instead of the field")
-    p.add_argument("--k", type=float, default=_SENTINEL, help="density mode wavenumber")
-    p.add_argument("--potential", default=_SENTINEL, choices=("none", "harmonic"))
-    p.add_argument("--omega0", type=float, default=_SENTINEL)
-    p.set_defaults(func=_run_evolve)
-
-    p = subs.add_parser("madelung", help="decompose three snapshots and report residuals")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--snapshots", nargs=3, default=_SENTINEL,
-                   metavar=("T0", "T1", "T2"))
-    p.set_defaults(func=_run_madelung)
-
-    p = subs.add_parser("spectrum", help="nonrelativistic levels and the energy map")
-    _add_common(p)
-    p.add_argument("--potential", default=_SENTINEL,
-                   choices=("free", "harmonic", "box", "tabulated"))
-    p.add_argument("--omega0", type=float, default=_SENTINEL)
-    p.add_argument("--width", type=float, default=_SENTINEL)
-    p.add_argument("--potential-file", dest="potential_file", default=_SENTINEL)
-    p.add_argument("--n", type=int, default=_SENTINEL)
-    p.add_argument("--length", type=float, default=_SENTINEL)
-    p.add_argument("--levels", type=int, default=_SENTINEL)
-    p.add_argument("--richardson", action="store_const", const=True, default=_SENTINEL)
-    p.set_defaults(func=_run_spectrum)
-
+    for command, func, options, text in (
+        ("dispersion", _run_dispersion, DISPERSION, "sweep k and write certified roots"),
+        ("evolve", _run_evolve, EVOLVE, "evolve the field or a density mode"),
+        ("madelung", _run_madelung, MADELUNG, "decompose three snapshots and report residuals"),
+        ("spectrum", _run_spectrum, SPECTRUM, "nonrelativistic levels and the energy map"),
+    ):
+        p = subs.add_parser(command, help=text)
+        for name, kind, default, help_text in options:
+            if kind in (int, float, POSITIVE):
+                extra = {"type": int if kind is int else float}
+            elif isinstance(kind, tuple):
+                extra = {"choices": kind}
+            elif kind is SWITCH:
+                extra = {"action": "store_const", "const": True}
+            elif kind is PATHS:
+                extra = {"nargs": 3, "metavar": ("T0", "T1", "T2")}
+            else:
+                extra = {}
+            note = "(required)" if default is REQUIRED else f"(default: {default})"
+            p.add_argument(f"--{name}", default=_SENTINEL, help=f"{help_text} {note}", **extra)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
@@ -631,10 +568,13 @@ def main(argv=None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args, args.options)
+        if cfg["seed"] is not None:
+            log.info("seed = %d (reserved for randomized sweeps; built-in runs are "
+                     "deterministic)", cfg["seed"])
+        return args.func(cfg)
     except InputError as exc:
         print(f"rqbm: input error: {exc}", file=sys.stderr)
         return 2

@@ -338,10 +338,12 @@ def solve_roots(
 
 @dataclass(frozen=True)
 class BranchCurve:
-    """Continuity-matched root curves over an ascending k grid."""
+    """Continuity-matched root curves over an ascending k grid, each root
+    with the certified residual `solve_roots` gave it."""
 
     k_grid: np.ndarray = field(repr=False)
     branches: np.ndarray = field(repr=False)  # shape (degree, nk)
+    residuals: np.ndarray = field(repr=False)  # shape (degree, nk)
     labels: tuple
     model: ModelParams
 
@@ -381,8 +383,9 @@ def _mirror_paired(vals: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Globally optimal assignment of new roots to previous ones.
+def _match(prev: np.ndarray, new: np.ndarray) -> list[int]:
+    """Globally optimal assignment of new roots to previous ones: the
+    permutation p with new[p[i]] continuing prev[i].
 
     Exhaustive over permutations (degree <= 4, so <= 24); raises if the best
     and a genuinely different pairing are within 10% of each other.
@@ -429,7 +432,7 @@ def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
             f"branch matching ambiguous (costs {best_cost:.3e} vs {cost:.3e}); "
             "refine the k grid"
         )
-    return assigned
+    return list(best_perm)
 
 
 def track_branches(params: ModelParams, k_grid) -> BranchCurve:
@@ -442,9 +445,13 @@ def track_branches(params: ModelParams, k_grid) -> BranchCurve:
     sets = [solve_roots(build_polynomial(params, k)) for k in k_grid]
     deg = len(sets[0].roots)
     branches = np.empty((deg, len(k_grid)), dtype=np.complex128)
-    branches[:, 0] = sets[0].roots
-    for j in range(1, len(k_grid)):
-        branches[:, j] = _match(branches[:, j - 1], sets[j].roots)
+    residuals = np.empty((deg, len(k_grid)))
+    perm = list(range(deg))
+    for j, rs in enumerate(sets):
+        if j:
+            perm = _match(branches[:, j - 1], rs.roots)
+        branches[:, j] = rs.roots[perm]
+        residuals[:, j] = rs.residuals[perm]
 
     w0 = branches[:, 0]
     labels = [OTHER] * deg
@@ -452,7 +459,8 @@ def track_branches(params: ModelParams, k_grid) -> BranchCurve:
     for i in range(deg):
         if labels[i] is OTHER and abs(w0[i].real) > 1.0:
             labels[i] = GAPPED
-    return BranchCurve(k_grid=k_grid, branches=branches, labels=tuple(labels), model=params)
+    return BranchCurve(k_grid=k_grid, branches=branches, residuals=residuals,
+                       labels=tuple(labels), model=params)
 
 
 _EQUIV_PAIRS = {

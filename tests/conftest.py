@@ -1,6 +1,12 @@
-"""Shared pytest plumbing for the acceptance report."""
+"""Shared pytest plumbing: the package path for subprocess runs, and the
+acceptance report."""
+
+import os
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _CRITERION_LINES: list[tuple[int, str]] = []
 
@@ -28,3 +34,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(_CRITERION_LINES):
         terminalreporter.write_line(line)
+
+
+def pytest_configure(config):
+    # pytest's pythonpath setting reaches this process only; the CLI tests run
+    # `python -m rqbm` in subprocesses, which find the package through this
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)

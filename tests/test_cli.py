@@ -4,6 +4,7 @@ the byte contract of the table writer they produce."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -284,6 +285,48 @@ class TestTopLevel:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
+
+
+DISPERSION_CONFIG = "model: collisional\ngamma: 1.0\n"
+CONFIG_ERRORS = [
+    ("dispersion", DISPERSION_CONFIG + "k-steps: true\n",
+     "--k-steps expects an integer, got True"),
+    ("dispersion", DISPERSION_CONFIG + "k-min: small\n",
+     "--k-min expects a number, got 'small'"),
+    ("dispersion", DISPERSION_CONFIG + "k-scale: cubic\n",
+     "--k-scale must be one of log, linear; got 'cubic'"),
+    ("dispersion", "model: null\n", "missing required option --model"),
+    ("evolve", "dt: -1\n", "--dt must be positive, got -1.0"),
+]
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command,config,message", CONFIG_ERRORS)
+    def test_bad_config_value_is_input_error(self, tmp_path, command, config, message):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(config)
+        r = run(command, "--config", cfgfile, "--out", tmp_path / "out")
+        assert r.returncode == 2
+        assert f"input error: {message}" in r.stderr
+
+    def test_option_the_run_ignores_is_still_checked(self, tmp_path):
+        r = run("evolve", "--out", tmp_path / "run", "--omega0", "-1", "--potential", "none")
+        assert r.returncode == 2
+        assert "--omega0 must be positive" in r.stderr
+
+    @pytest.mark.parametrize("command", ["dispersion", "evolve", "madelung", "spectrum"])
+    def test_help_flags_are_the_config_keys(self, tmp_path, command):
+        shown = run(command, "--help")
+        assert shown.returncode == 0, shown.stderr
+        flags = set(re.findall(r"--([a-z][a-z0-9-]*)", shown.stdout)) - {"help"}
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text("no-such-key: 1\n")
+        r = run(command, "--config", cfgfile, "--out", tmp_path / "out")
+        assert r.returncode == 2
+        assert flags == set(r.stderr.split("valid keys: ")[1].strip().split(", "))
+        # every option shows its default, or that it is required
+        text = " ".join(shown.stdout.split())
+        assert text.count("(default: ") + text.count("(required)") == len(flags)
 
 
 def expected_csv(header, columns, footer):

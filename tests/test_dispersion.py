@@ -8,6 +8,7 @@ from rqbm.dispersion import (
     GAPPED,
     HYDRODYNAMIC,
     OTHER,
+    RESIDUAL_TOL,
     BranchCurve,
     DispersionPoly,
     _match,
@@ -214,6 +215,21 @@ def test_hydrodynamic_accessor():
     assert abs(hyd[0]) == min(abs(b[0]) for b in bc.branches)
 
 
+@pytest.mark.parametrize(
+    "params", [conservative(), collisional(1.0), radiative(0.5), dalembert_diffusion(2.0)]
+)
+def test_branch_curve_carries_certified_residuals(params):
+    kg = np.geomspace(0.05, 5.0, 40)
+    bc = track_branches(params, kg)
+    assert bc.residuals.shape == bc.branches.shape
+    for j, k in enumerate(kg):
+        rs = solve_roots(build_polynomial(params, k))
+        for i, w in enumerate(bc.branches[:, j]):
+            same = np.flatnonzero(rs.roots == w)
+            assert len(same) and np.all(rs.residuals[same] == bc.residuals[i, j])
+    assert np.all(bc.residuals <= RESIDUAL_TOL)
+
+
 def test_match_raises_on_genuine_near_tie():
     prev = np.array([0.0 + 0.0j, 1.0 + 0.0j])
     new = np.array([0.49 + 0.0j, 0.52 + 0.0j])
@@ -225,14 +241,14 @@ def test_match_keeps_mirror_pair_sides():
     # a near-critically-damped mirror pair: tiny +/- real split, common drift
     prev = np.array([+1e-6 + 1.00j, -1e-6 + 1.00j])
     new = np.array([+1.1e-6 + 1.01j, -1.1e-6 + 1.01j])
-    out = _match(prev, new)
+    out = new[_match(prev, new)]
     assert out[0].real > 0 and out[1].real < 0
 
 
 def test_match_tolerates_degenerate_parent_split():
     prev = np.array([0.5j, 0.5j])
     new = np.array([0.1 + 0.5j, -0.1 + 0.5j])
-    out = _match(prev, new)          # either assignment is acceptable
+    out = new[_match(prev, new)]     # either assignment is acceptable
     assert set(np.round(out, 12)) == set(np.round(new, 12))
 
 
