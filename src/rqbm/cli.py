@@ -181,9 +181,19 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _coerce(name: str, kind, val):
-    """Check one resolved value against its option's kind; None stays unset."""
-    if val is None or kind in (str, SWITCH):
+def _coerce(name: str, kind, default, val):
+    """Check one resolved value against its option's kind.  A null stays
+    unset only for an option whose default is None; a switch takes only a
+    boolean."""
+    if val is None:
+        if default is None:
+            return None
+        raise InputError(f"--{name} expects a value, got null")
+    if kind is SWITCH:
+        if not isinstance(val, bool):
+            raise InputError(f"--{name} expects true or false, got {val!r}")
+        return val
+    if kind is str:
         return val
     if kind is int:
         if isinstance(val, bool) or not (isinstance(val, (int, np.integer)) or (
@@ -231,7 +241,7 @@ def _resolve(args: argparse.Namespace, options: list) -> dict:
                 log.info("default %s = %r", name, default)
         if default is REQUIRED and (val is None or val is REQUIRED):
             raise InputError(f"missing required option --{name}")
-        cfg[dest] = _coerce(name, kind, val)
+        cfg[dest] = _coerce(name, kind, default, val)
     return cfg
 
 

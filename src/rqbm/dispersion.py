@@ -22,6 +22,7 @@ All quantities are in Compton units.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,26 +68,34 @@ class DispersionPoly:
 
     def __call__(self, omega):
         """Evaluate P(omega) by Horner's rule (vectorized over omega)."""
-        omega = np.asarray(omega, dtype=np.complex128)
-        out = np.zeros_like(omega)
-        for c in self.coefficients[::-1]:
-            out = out * omega + c
+        out = _horner(self.coefficients, np.asarray(omega, dtype=np.complex128))
         return out if out.ndim else complex(out)
 
     def derivative(self, omega):
-        omega = np.asarray(omega, dtype=np.complex128)
-        out = np.zeros_like(omega)
-        for j in range(4, 0, -1):
-            out = out * omega + j * self.coefficients[j]
+        out = _horner(_deriv_coef(self.coefficients, 1), np.asarray(omega, dtype=np.complex128))
         return out if out.ndim else complex(out)
 
     def residual_scale(self, omega):
         """Backward-error denominator: sum_j |c_j| |omega|^j."""
         a = np.abs(np.asarray(omega, dtype=np.complex128))
-        out = np.zeros_like(a)
-        for c in self.coefficients[::-1]:
-            out = out * a + abs(c)
+        out = _horner(_magnitude(self.coefficients), a)
         return out if out.ndim else float(out)
+
+
+def _horner(coefs, x):
+    """sum_j coefs[j] x^j by Horner's rule, each coefficient broadcast
+    against x: pass a coefficient vector, or the transposed columns
+    `coef.T[:, :, None]` of an (n, m) stack to evaluate row i at x[i]."""
+    out = np.zeros_like(x)
+    for c in coefs[::-1]:
+        out = out * x + c
+    return out
+
+
+def _magnitude(z):
+    """|z| as Python's abs(complex) and numpy's scalar abs round it; numpy's
+    array abs can differ from them in the last bit."""
+    return np.hypot(z.real, z.imag)
 
 
 def build_polynomial(params: ModelParams, k: float) -> DispersionPoly:
@@ -155,27 +164,65 @@ def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [q / c2, c0 / q]
 
 
-def _polish(poly: DispersionPoly, w: complex, iters: int = 3) -> complex:
-    best = w
-    best_res = abs(poly(w))
-    for _ in range(iters):
-        d = poly.derivative(w)
-        if abs(d) < 1e-300:
-            break
-        w = w - poly(w) / d
-        res = abs(poly(w))
-        if res < best_res:
-            best, best_res = w, res
-        else:
-            break
-    return best
+def _py_quot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b rounded as CPython divides complex numbers: Smith's method,
+    dividing by the scaled denominator where numpy multiplies by its
+    reciprocal.  With it an array Newton step equals a scalar Python one
+    bit for bit, which keeps the roots, and the output bytes, of earlier
+    versions."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    out = np.empty(np.shape(a), dtype=np.complex128)
+    out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
 
 
 def _deriv_coef(coef: np.ndarray, order: int) -> np.ndarray:
+    """Ascending coefficients of the order-th derivative (of each row)."""
     c = np.asarray(coef, dtype=np.complex128)
     for _ in range(order):
-        c = c[1:] * np.arange(1, len(c))
+        c = c[..., 1:] * np.arange(1, c.shape[-1])
     return c
+
+
+def _newton(coef: np.ndarray, w: np.ndarray, iters: int) -> np.ndarray:
+    """Newton-polish each root w[i, j] of the polynomial with ascending
+    coefficients coef[i].  A root keeps its best iterate by |P| and stops at
+    its first step that does not lower |P|, or at a vanishing derivative."""
+    cols = coef.T[:, :, None]
+    dcols = _deriv_coef(coef, 1).T[:, :, None]
+    best, pw = w, _horner(cols, w)
+    best_res = _magnitude(pw)
+    live = np.ones(w.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(iters):
+            d = _horner(dcols, w)
+            live &= ~(_magnitude(d) < 1e-300)
+            w = w - _py_quot(pw, d)
+            pw = _horner(cols, w)
+            res = _magnitude(pw)
+            live &= res < best_res
+            best = np.where(live, w, best)
+            best_res = np.where(live, res, best_res)
+            if not live.any():
+                break
+    return best
+
+
+def _companion_roots(coef: np.ndarray) -> np.ndarray:
+    """Roots of each row of an (n, d + 1) ascending coefficient stack whose
+    end coefficients are nonzero: the eigenvalues of the companion matrices
+    np.roots builds, in one batched call.  Each row is backward stable on
+    its own (Edelman & Murakami, Math. Comp. 64, 1995)."""
+    p = coef[:, ::-1]
+    d = p.shape[1] - 1
+    a = np.zeros((len(p), d, d), dtype=np.complex128)
+    a[:, 1:, :-1] = np.eye(d - 1)
+    a[:, 0, :] = -p[:, 1:] / p[:, :1]
+    return np.linalg.eigvals(a)
 
 
 def _polish_multiple(poly: DispersionPoly, w: complex, mult: int, max_move: float) -> complex:
@@ -224,21 +271,33 @@ def _cluster(roots: list[complex], tol: float) -> tuple[list[complex], list[int]
     return means, [len(g) for g in groups]
 
 
-def solve_roots(
-    poly: DispersionPoly,
-    residual_tol: float = RESIDUAL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    vieta_tol: float = VIETA_TOL,
-) -> RootSet:
-    """All complex roots with multiplicity, certified by backward-error
-    residuals and Vieta checks; raises NumericalFailureError (carrying the
-    best-effort roots) when certification fails."""
-    deg = poly.degree
-    coef = poly.coefficients[: deg + 1].copy()
-    if coef[-1] == 0:
-        raise InputError("leading coefficient vanishes")
+def _certificates(coef: np.ndarray, roots: np.ndarray):
+    """Scaled residuals (n, deg) and Vieta sum and product deviations (n,)
+    of sorted root rows roots (n, deg) of the polynomials coef (n, 5)."""
+    deg = roots.shape[1]
+    cols = coef.T[:, :, None]
+    denom = _horner(_magnitude(cols), np.abs(roots))
+    pvals = np.abs(_horner(cols, roots))
+    residuals = np.where(denom > 0, pvals / np.where(denom > 0, denom, 1.0), 0.0)
 
-    # exact zero roots come off symbolically; k=0 gives a double root at 0
+    # Vieta: sum against -c_{d-1}/c_d, product against (+/-)c_0/c_d
+    lead = coef[:, deg]
+    sum_target = -coef[:, deg - 1] / lead
+    prod_target = coef[:, 0] / lead * (1 if deg % 2 == 0 else -1)
+    sum_dev = _magnitude(roots.sum(axis=1) - sum_target) / np.maximum(
+        np.maximum(_magnitude(sum_target), np.abs(roots).sum(axis=1)), 1e-300
+    )
+    prod_dev = _magnitude(np.prod(roots, axis=1) - prod_target) / np.maximum(
+        np.maximum(_magnitude(prod_target), np.prod(np.abs(roots), axis=1)), 1e-300
+    )
+    return residuals, sum_dev, prod_dev
+
+
+def _raw_roots(poly: DispersionPoly) -> list[complex]:
+    """All roots of one polynomial, unclustered: exact zeros stripped off
+    symbolically (k=0 gives a double root at 0), then closed forms up to
+    degree 2 and polished companion eigenvalues above."""
+    coef = poly.coefficients[: poly.degree + 1]
     zeros = 0
     while coef[0] == 0 and len(coef) > 1:
         zeros += 1
@@ -252,10 +311,23 @@ def solve_roots(
     elif d == 2:
         found = _quadratic_roots(complex(coef[0]), complex(coef[1]), complex(coef[2]))
     else:
-        found = [complex(w) for w in np.roots(coef[::-1])]
-        found = [_polish(poly, w) for w in found]
+        found = _newton(poly.coefficients[None], _companion_roots(coef[None]), 3)[0]
+        found = list(map(complex, found))
+    return [0.0 + 0.0j] * zeros + found
 
-    allroots = [0.0 + 0.0j] * zeros + found
+
+def _escalate(
+    poly: DispersionPoly,
+    allroots: list[complex],
+    residual_tol: float,
+    degeneracy_tol: float,
+    vieta_tol: float,
+) -> RootSet:
+    """Certify one polynomial's roots, widening the clustering until an
+    interpretation of them passes the residual and Vieta checks."""
+
+    def polish(m: complex) -> complex:
+        return complex(_newton(poly.coefficients[None], np.array([[m]]), 2)[0, 0])
 
     def interpret(cluster_tol: float) -> RootSet:
         means, mults = _cluster(allroots, cluster_tol)
@@ -266,7 +338,7 @@ def solve_roots(
             m
             if m == 0
             else (
-                _polish(poly, m, 2)
+                polish(m)
                 if mu == 1
                 else _polish_multiple(poly, m, mu, 4.0 * cluster_tol * max(1.0, abs(m)))
             )
@@ -279,33 +351,16 @@ def solve_roots(
         roots = np.asarray(
             [u for u, m in zip(unique, mults_t) for _ in range(m)], dtype=np.complex128
         )
-
-        denom = poly.residual_scale(roots)
-        pvals = np.abs(poly(roots))
-        residuals = np.where(denom > 0, pvals / np.where(denom > 0, denom, 1.0), 0.0)
-
-        # Vieta: sum against -c_{d-1}/c_d, product against (+/-)c_0/c_d
-        lead = poly.coefficients[deg]
-        sum_target = -poly.coefficients[deg - 1] / lead
-        prod_target = poly.coefficients[0] / lead * (1 if deg % 2 == 0 else -1)
-        s = roots.sum()
-        p = np.prod(roots)
-        sum_dev = abs(s - sum_target) / max(
-            abs(sum_target), float(np.abs(roots).sum()), 1e-300
-        )
-        prod_dev = abs(p - prod_target) / max(
-            abs(prod_target), float(np.prod(np.abs(roots))), 1e-300
-        )
-
+        residuals, sum_dev, prod_dev = _certificates(poly.coefficients[None], roots[None])
         return RootSet(
             roots=roots,
-            residuals=np.asarray(residuals, dtype=float),
+            residuals=residuals[0],
             k=poly.k,
             model=poly.model,
             unique_roots=unique,
             multiplicities=mults_t,
-            vieta_sum_dev=float(sum_dev),
-            vieta_prod_dev=float(prod_dev),
+            vieta_sum_dev=float(sum_dev[0]),
+            vieta_prod_dev=float(prod_dev[0]),
         )
 
     def certified(rs: RootSet) -> bool:
@@ -334,6 +389,75 @@ def solve_roots(
     )
     err.rootset = first
     raise err
+
+
+def _solve_stack(
+    polys: list[DispersionPoly],
+    residual_tol: float = RESIDUAL_TOL,
+    degeneracy_tol: float = DEGENERACY_TOL,
+    vieta_tol: float = VIETA_TOL,
+) -> list[RootSet]:
+    """`solve_roots` of every polynomial, the quartics with c0 != 0 in one
+    batched pass.
+
+    A batched row is certified here when clustering at the base width leaves
+    its four polished roots single and they pass the residual and Vieta
+    checks: the interpretation `_escalate` would accept first, computed
+    with the same arithmetic.  Every other row goes through `_escalate`.
+    """
+    for poly in polys:
+        if poly.coefficients[poly.degree] == 0:
+            raise InputError("leading coefficient vanishes")
+    sets: list[RootSet | None] = [None] * len(polys)
+    rows = [i for i, p in enumerate(polys) if p.degree == 4 and p.coefficients[0] != 0]
+    if rows:
+        coef = np.array([polys[i].coefficients for i in rows])
+        found = _newton(coef, _companion_roots(coef), 3)
+        # the singleton test of _cluster at the base width, pair by pair
+        single = np.all(found != 0, axis=1)
+        size = _magnitude(found)
+        for a, b in itertools.combinations(range(4), 2):
+            single &= _magnitude(found[:, b] - found[:, a]) > degeneracy_tol * np.maximum(
+                np.maximum(1.0, size[:, b]), size[:, a]
+            )
+        # + 0.0 turns -0.0 parts into +0.0, as a one-root cluster's mean does
+        means = _newton(coef, found + 0.0, 2)
+        roots = np.take_along_axis(means, np.lexsort((means.imag, means.real), axis=-1), 1)
+        residuals, sum_dev, prod_dev = _certificates(coef, roots)
+        ok = (single & np.all(residuals <= residual_tol, axis=1)
+              & (sum_dev <= vieta_tol) & (prod_dev <= vieta_tol))
+        for r, i in enumerate(rows):
+            poly = polys[i]
+            if ok[r]:
+                sets[i] = RootSet(
+                    roots=roots[r],
+                    residuals=residuals[r],
+                    k=poly.k,
+                    model=poly.model,
+                    unique_roots=roots[r].copy(),
+                    multiplicities=(1, 1, 1, 1),
+                    vieta_sum_dev=float(sum_dev[r]),
+                    vieta_prod_dev=float(prod_dev[r]),
+                )
+            else:
+                sets[i] = _escalate(poly, list(map(complex, found[r])),
+                                    residual_tol, degeneracy_tol, vieta_tol)
+    for i, poly in enumerate(polys):
+        if sets[i] is None:
+            sets[i] = _escalate(poly, _raw_roots(poly), residual_tol, degeneracy_tol, vieta_tol)
+    return sets
+
+
+def solve_roots(
+    poly: DispersionPoly,
+    residual_tol: float = RESIDUAL_TOL,
+    degeneracy_tol: float = DEGENERACY_TOL,
+    vieta_tol: float = VIETA_TOL,
+) -> RootSet:
+    """All complex roots with multiplicity, certified by backward-error
+    residuals and Vieta checks; raises NumericalFailureError (carrying the
+    best-effort roots) when certification fails."""
+    return _solve_stack([poly], residual_tol, degeneracy_tol, vieta_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -383,29 +507,36 @@ def _mirror_paired(vals: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _match(prev: np.ndarray, new: np.ndarray) -> list[int]:
+#: Every permutation of range(n), one per row, for the root counts in use.
+_PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 4)}
+#: Halvings of one ambiguous k step before the tracker gives up.
+_BISECT_DEPTH = 12
+
+
+def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Globally optimal assignment of new roots to previous ones: the
     permutation p with new[p[i]] continuing prev[i].
 
     Exhaustive over permutations (degree <= 4, so <= 24); raises if the best
     and a genuinely different pairing are within 10% of each other.
     """
-    n = len(prev)
-    best_perm, best_cost = None, np.inf
-    costs = []
-    perms = list(itertools.permutations(range(n)))
-    for perm in perms:
-        cost = float(sum(abs(new[perm[i]] - prev[i]) for i in range(n)))
-        costs.append(cost)
-        if cost < best_cost:
-            best_cost, best_perm = cost, perm
-    assigned = new[list(best_perm)]
+    perms = _PERMS[len(prev)]
+    dist = _magnitude(new[perms] - prev)
+    costs = dist[:, 0]
+    for i in range(1, len(prev)):
+        costs = costs + dist[:, i]
+    best = int(costs.argmin())
+    best_cost = float(costs[best])
+    near = costs < 1.1 * best_cost + 1e-300
+    near[best] = False
+    if not near.any():
+        return perms[best]
+    assigned = new[perms[best]]
     scale = max(1.0, float(np.abs(new).max()), float(np.abs(prev).max()))
     tol = DEGENERACY_TOL * scale
-    for perm, cost in zip(perms, costs):
-        if perm == best_perm or cost >= 1.1 * best_cost + 1e-300:
-            continue
-        alt = new[list(perm)]
+    for r in np.flatnonzero(near):
+        cost = float(costs[r])
+        alt = new[perms[r]]
         differs = np.flatnonzero(np.abs(alt - assigned) > tol)
         if len(differs) == 0:
             continue
@@ -429,10 +560,30 @@ def _match(prev: np.ndarray, new: np.ndarray) -> list[int]:
         if _mirror_paired(assigned[differs], tol) and _mirror_paired(parents, tol):
             continue
         raise AmbiguousBranchError(
-            f"branch matching ambiguous (costs {best_cost:.3e} vs {cost:.3e}); "
-            "refine the k grid"
+            f"branch matching ambiguous: costs {best_cost:.6e} vs {cost:.6e}, "
+            f"relative gap {(cost - best_cost) / best_cost:.2e}"
         )
-    return list(best_perm)
+    return perms[best]
+
+
+def _continue(params: ModelParams, k0: float, prev: np.ndarray, k1: float,
+              new: np.ndarray, depth: int = 0) -> np.ndarray:
+    """The permutation p with new[p] continuing prev from k0 to k1.  A step
+    the matcher finds ambiguous is matched through its midpoint (geometric
+    when k0 > 0), recursively, down to _BISECT_DEPTH halvings; the midpoint
+    roots only carry the match and are not kept."""
+    try:
+        return _match(prev, new)
+    except AmbiguousBranchError as exc:
+        if depth == _BISECT_DEPTH:
+            raise AmbiguousBranchError(
+                f"{exc}, between k = {k0:.17g} and k = {k1:.17g} after {depth} halvings "
+                "of the grid step"
+            ) from exc
+    km = math.sqrt(k0 * k1) if k0 > 0 else 0.5 * (k0 + k1)
+    mid = solve_roots(build_polynomial(params, km)).roots
+    mid = mid[_continue(params, k0, prev, km, mid, depth + 1)]
+    return _continue(params, km, mid, k1, new, depth + 1)
 
 
 def track_branches(params: ModelParams, k_grid) -> BranchCurve:
@@ -442,14 +593,14 @@ def track_branches(params: ModelParams, k_grid) -> BranchCurve:
     if not np.all(np.diff(k_grid) > 0):
         raise InputError("k_grid must be strictly ascending")
 
-    sets = [solve_roots(build_polynomial(params, k)) for k in k_grid]
+    sets = _solve_stack([build_polynomial(params, k) for k in k_grid])
     deg = len(sets[0].roots)
     branches = np.empty((deg, len(k_grid)), dtype=np.complex128)
     residuals = np.empty((deg, len(k_grid)))
-    perm = list(range(deg))
-    for j, rs in enumerate(sets):
-        if j:
-            perm = _match(branches[:, j - 1], rs.roots)
+    branches[:, 0], residuals[:, 0] = sets[0].roots, sets[0].residuals
+    for j in range(1, len(k_grid)):
+        rs = sets[j]
+        perm = _continue(params, k_grid[j - 1], branches[:, j - 1], k_grid[j], rs.roots)
         branches[:, j] = rs.roots[perm]
         residuals[:, j] = rs.residuals[perm]
 

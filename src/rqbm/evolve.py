@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import build_polynomial, solve_roots
+from .dispersion import _solve_stack, build_polynomial
 from .errors import InputError, NumericalFailureError, UnsupportedError
 from .grid import ComplexField, Grid1D
 from .units import Model, ModelParams
@@ -326,8 +326,8 @@ def evolve_density(params: ModelParams, init: DensityModeState, t: float) -> Den
 
     out = np.empty_like(init.derivs)
     warned = False
-    for j, k in enumerate(init.k):
-        roots = solve_roots(build_polynomial(params, float(k)))
+    sets = _solve_stack([build_polynomial(params, float(k)) for k in init.k])
+    for j, (k, roots) in enumerate(zip(init.k, sets)):
         if t > 0 and not warned and np.any(roots.growing) and np.any(init.derivs[j]):
             warnings.warn(
                 f"model {params.model.value} has growing modes at k={k} "

@@ -127,6 +127,20 @@ class TestDispersionCommand:
         assert "wrote 200 rows" in r.stderr
 
 
+    @pytest.mark.parametrize("sweep", [
+        ("--model", "dalembert-diffusion", "--diffusion", "2", "--k-max", "75", "--k-steps", "50"),
+        ("--model", "collisional", "--gamma", "0.001", "--k-max", "20", "--k-steps", "20"),
+        ("--model", "radiative", "--tau", "0.001", "--k-max", "40", "--k-steps", "20"),
+    ])
+    def test_ambiguous_steps_are_bisected(self, tmp_path, sweep):
+        out = tmp_path / "roots.csv"
+        r = run("dispersion", *sweep, "--out", out)
+        assert r.returncode == 0, r.stderr
+        lines = read_csv_lines(out)
+        k = [float(line.split(",")[1]) for line in lines[1:]]
+        assert k == list(np.geomspace(0.01, float(sweep[5]), int(sweep[7])))
+
+
 class TestEvolveCommand:
     def test_gaussian_run_writes_snapshots_and_charges(self, tmp_path):
         out = tmp_path / "run"
@@ -297,6 +311,11 @@ CONFIG_ERRORS = [
      "--k-scale must be one of log, linear; got 'cubic'"),
     ("dispersion", "model: null\n", "missing required option --model"),
     ("evolve", "dt: -1\n", "--dt must be positive, got -1.0"),
+    ("dispersion", DISPERSION_CONFIG + "k-min: null\n", "--k-min expects a value, got null"),
+    ("dispersion", DISPERSION_CONFIG + "format: null\n", "--format expects a value, got null"),
+    ("evolve", 'density: "no"\n', "--density expects true or false, got 'no'"),
+    ("spectrum", 'potential: box\nrichardson: "yes"\n',
+     "--richardson expects true or false, got 'yes'"),
 ]
 
 

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from rqbm import dispersion
 from rqbm.dispersion import (
     DEGENERACY_TOL,
     GAPPED,
@@ -260,6 +262,118 @@ def test_phase_diffusion_default_sweep_tracks():
         re = row.real[np.abs(row.real) > 1e-12]
         if len(re):
             assert np.all(re > 0) or np.all(re < 0)
+
+
+# ------------------------------------------------------ batched root engine
+
+DISSIPATIVE = [collisional, radiative, phase_diffusion, dalembert_diffusion]
+
+
+def _one_at_a_time(poly):
+    """Simple roots of a quartic, polished one Python complex at a time: the
+    np.roots eigenvalues, three Newton steps, two more from each one-root
+    cluster's mean, sorted by real then imaginary part."""
+
+    def newton(w, iters):
+        best, best_res = w, abs(poly(w))
+        for _ in range(iters):
+            d = poly.derivative(w)
+            if abs(d) < 1e-300:
+                break
+            w = w - poly(w) / d
+            res = abs(poly(w))
+            if res >= best_res:
+                break
+            best, best_res = w, res
+        return best
+
+    found = [newton(complex(w), 3) for w in np.roots(poly.coefficients[::-1])]
+    means = sorted((newton(sum([w]) / 1, 2) for w in found), key=lambda w: (w.real, w.imag))
+    return np.array(means)
+
+
+def test_batched_roots_equal_scalar_polish():
+    rng = np.random.default_rng(7)
+    tag = collisional(1.0)
+    polys = [
+        DispersionPoly(coefficients=rng.standard_normal(5) + 1j * rng.standard_normal(5),
+                       k=0.0, model=tag)
+        for _ in range(300)
+    ]
+    polys += [build_polynomial(make(rate), k) for make in DISSIPATIVE
+              for rate in (0.01, 0.5, 30.0) for k in np.geomspace(0.02, 20.0, 25)]
+    checked = 0
+    for poly in polys:
+        rs = solve_roots(poly)
+        if rs.multiplicities == (1, 1, 1, 1):
+            assert rs.roots.tobytes() == _one_at_a_time(poly).tobytes()
+            checked += 1
+    assert checked >= 500
+
+
+def _sorted_columns(curve, j):
+    col = curve.branches[:, j]
+    order = np.lexsort((col.imag, col.real))
+    return col[order], curve.residuals[order, j]
+
+
+@pytest.mark.parametrize("make", DISSIPATIVE)
+def test_batched_sweep_equals_per_k_solves(make):
+    params = make(0.7)
+    kg = np.geomspace(0.01, 30.0, 500)
+    bc = track_branches(params, kg)
+    for j, k in enumerate(kg):
+        rs = solve_roots(build_polynomial(params, k))
+        roots, residuals = _sorted_columns(bc, j)
+        assert roots.tobytes() == rs.roots.tobytes()
+        assert residuals.tobytes() == rs.residuals.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params,kg,multiple",
+    [
+        # k = 0 strips exact zero roots: one and a cubic, or two and a quadratic
+        (collisional(1.0), np.linspace(0.0, 3.0, 31), []),
+        (radiative(2.0), np.linspace(0.0, 3.0, 31), [0]),
+        (phase_diffusion(1.0), np.linspace(0.0, 2.0, 41), [0]),
+        # D = 1: every k is a pair of double roots
+        (dalembert_diffusion(1.0), np.geomspace(0.01, 10.0, 50), range(50)),
+    ],
+)
+def test_fallback_rows_keep_multiplicities(params, kg, multiple):
+    bc = track_branches(params, kg)
+    for j, k in enumerate(kg):
+        rs = solve_roots(build_polynomial(params, k))
+        assert (max(rs.multiplicities) > 1) == (j in multiple)
+        roots, residuals = _sorted_columns(bc, j)
+        assert roots.tobytes() == rs.roots.tobytes()
+        assert residuals.tobytes() == rs.residuals.tobytes()
+
+
+def test_random_sweeps_track_without_ambiguity():
+    # rates log-uniform over 1e-3..1e3, k spans of 1-3 decades, 20-200 points:
+    # a fuzz like this raised AmbiguousBranchError on about one sweep in ten
+    # before ambiguous steps were bisected
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        make = DISSIPATIVE[rng.integers(4)]
+        k_min = 10 ** rng.uniform(-2, 0)
+        kg = np.geomspace(k_min, k_min * 10 ** rng.uniform(1, 3), rng.integers(20, 201))
+        bc = track_branches(make(10 ** rng.uniform(-3, 3)), kg)
+        assert bc.branches.shape == (4, len(kg))
+
+
+def test_bisection_gives_up_past_its_depth(monkeypatch):
+    def always_ambiguous(prev, new):
+        raise AmbiguousBranchError("branch matching ambiguous: relative gap 1.00e-02")
+
+    monkeypatch.setattr(dispersion, "_match", always_ambiguous)
+    with pytest.raises(AmbiguousBranchError) as info:
+        track_branches(collisional(1.0), [1.0, 2.0])
+    message = str(info.value)
+    assert "relative gap" in message and "12 halvings" in message
+    low, high = (float(v) for v in re.findall(r"k = (\S+?)(?: and|,? after)", message))
+    assert 1.0 <= low < high <= 2.0 and high / low == pytest.approx(2.0 ** (1 / 4096))
 
 
 # ------------------------------------------------- friction equivalences
