@@ -341,11 +341,11 @@ def _run_evolve(cfg: dict) -> int:
             raise InputError(f"--k must be finite and >= 0, got {k!r}")
         EvolutionConfig(dt=dt, steps=steps, snapshot_stride=stride)  # validates all three
         init = DensityModeState(k=np.array([k]), derivs=np.array([[1.0, 0.0, 0.0, 0.0]]))
-        ts = [j * stride * dt for j in range(steps // stride + 1)]
-        rho = [(evolve_density(params, init, t) if t else init).rho[0] for t in ts]
+        ts = np.arange(steps // stride + 1) * stride * dt
+        rho = np.array([s.rho[0] for s in evolve_density(params, init, ts)])
         path = os.path.join(outdir, f"density.{fmt}")
         _write_table(path, fmt, ["t", "k", "re_rho", "im_rho"],
-                     [ts, [k] * len(ts), [r.real for r in rho], [r.imag for r in rho]])
+                     [ts, [k] * len(ts), rho.real, rho.imag])
         log.info("wrote %d density samples to %s", len(ts), path)
         return 0
 

@@ -374,9 +374,12 @@ def _escalate(
     # can exceed the nominal clustering width (e.g. a coalescing pair split
     # by ~sqrt(eps) reads as two simple roots with irreducible error).  If
     # the base interpretation fails certification, widen the clustering and
-    # keep the first interpretation that certifies.
+    # keep the first interpretation that certifies.  The last resort, factor
+    # 0, takes the polished roots unclustered: a genuine pair split by less
+    # than the clustering width (phase diffusion at D = 1 and k ~ 1e-3 splits
+    # by ~1e-9) fails Vieta when merged but certifies as two simple roots.
     first: RootSet | None = None
-    for factor in (1.0, 10.0, 100.0, 1e3, 1e4):
+    for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
         rs = interpret(degeneracy_tol * factor)
         if first is None:
             first = rs

@@ -10,16 +10,15 @@ Two dynamical layers share this module:
   oldest levels (second-order accurate, explicitly solvable).
 
 * The linearized per-mode density equations of the dissipative models,
-  fourth order in time, advanced exactly through the characteristic roots of
-  the dispersion quartic, with confluent (polynomial-in-t) terms when roots
-  are degenerate.
+  fourth order in time, advanced exactly as the matrix exponential of the
+  dispersion quartic's companion matrix, whose eigenvalues are the
+  characteristic roots; it stays exact when roots coalesce.
 
 States are immutable snapshots; evolution never mutates its input.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -282,9 +281,9 @@ class DensityModeState:
             raise InputError(
                 f"need derivs of shape (n_modes, 4) matching k; got {dv.shape}"
             )
-        if not (np.all(np.isfinite(kk)) and np.all(kk >= 0)):
+        if not (np.isfinite(kk).all() and (kk >= 0).all()):
             raise InputError("mode wavenumbers must be finite and >= 0")
-        if not np.all(np.isfinite(dv)):
+        if not np.isfinite(dv).all():
             raise InputError("initial derivatives must be finite")
         object.__setattr__(self, "k", kk)
         object.__setattr__(self, "derivs", dv)
@@ -294,63 +293,63 @@ class DensityModeState:
         return self.derivs[:, 0]
 
 
-def _confluent_deriv(s: complex, p: int, d: int, t: float) -> complex:
-    """d-th time derivative of t^p exp(s t)."""
-    total = 0.0 + 0.0j
-    for i in range(min(p, d) + 1):
-        total += (
-            math.comb(d, i)
-            * (math.factorial(p) / math.factorial(p - i))
-            * t ** (p - i)
-            * s ** (d - i)
-        )
-    return total * np.exp(s * t)
+#: [13/13] Pade coefficients of exp, and the 1-norm up to which they need no
+#: scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
-def _mode_matrix(exponents, t: float) -> np.ndarray:
-    """Rows d=0..3 of the d-th derivatives of the confluent basis at time t."""
-    cols = [(s, p) for s, mult in exponents for p in range(mult)]
-    m = np.empty((4, len(cols)), dtype=np.complex128)
-    for j, (s, p) in enumerate(cols):
-        for d in range(4):
-            m[d, j] = _confluent_deriv(s, p, d, t)
-    return m
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of a (..., m, m) stack by Pade-13 scaling and
+    squaring; each is scaled by 2^-s, s >= 0 from frexp, to a 1-norm < theta13."""
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
+    a = a / np.ldexp(1.0, s)[..., None, None]
+    b, eye = _PADE13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for j in range(s.max(initial=0)):
+        r[s > j] = r[s > j] @ r[s > j]
+    return r
 
 
-def evolve_density(params: ModelParams, init: DensityModeState, t: float) -> DensityModeState:
-    """Advance every mode exactly by time t through its characteristic roots."""
+def evolve_density(params: ModelParams, init: DensityModeState, t: float | np.ndarray):
+    """Advance every mode exactly by time t through its characteristic roots.
+
+    Each mode's quartic is certified once; its (rho, rho', rho'', rho''') at
+    time t is exp(C t) @ derivs, C being the companion matrix of
+    sum_j c_j (-i)^j rho^(j) = 0 (eigenvalues s = i omega), which stays exact
+    through root coalescence.  A scalar t gives one DensityModeState, a 1-D
+    array of times a list of them; t = 0 returns the initial derivatives."""
     if params.model is Model.CONSERVATIVE:
         raise InputError("density evolution is defined for the dissipative models")
-    if not np.isfinite(t):
-        raise InputError(f"t must be finite, got {t!r}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise InputError(f"t must be finite, a scalar or a 1-D array; got {t!r}")
 
-    out = np.empty_like(init.derivs)
-    warned = False
-    sets = _solve_stack([build_polynomial(params, float(k)) for k in init.k])
-    for j, (k, roots) in enumerate(zip(init.k, sets)):
-        if t > 0 and not warned and np.any(roots.growing) and np.any(init.derivs[j]):
-            warnings.warn(
-                f"model {params.model.value} has growing modes at k={k} "
-                f"(Im omega < 0); the run may diverge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            warned = True
-        exps = [(1j * w, m) for w, m in zip(roots.unique_roots, roots.multiplicities)]
-        m0 = _mode_matrix(exps, 0.0)
-        try:
-            coeffs = np.linalg.solve(m0, init.derivs[j])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                f"confluent basis is singular at k={k}: {exc}"
-            ) from exc
-        out[j] = _mode_matrix(exps, float(t)) @ coeffs
+    polys = [build_polynomial(params, float(k)) for k in init.k]
+    growing = [k for k, rs, d in zip(init.k, _solve_stack(polys), init.derivs)
+               if np.any(rs.growing) and np.any(d)]
+    if growing and np.any(times > 0):
+        warnings.warn(f"model {params.model.value} has growing modes at k={growing[0]} "
+                      f"(Im omega < 0); the run may diverge", RuntimeWarning, stacklevel=2)
+    coef = np.array([p.coefficients for p in polys])
+    comp = np.tile(np.eye(4, k=1, dtype=np.complex128), (len(polys), 1, 1))
+    comp[:, 3] = -coef[:, :4] * np.array([1.0, -1j, -1.0, 1j]) / coef[:, 4:]
+    ts = np.atleast_1d(times)
+    out = (_expm(ts[:, None, None, None] * comp) @ init.derivs[..., None])[..., 0]
+    out[ts == 0] = init.derivs
     if not np.all(np.isfinite(out)):
-        raise NumericalFailureError(
-            f"density modes overflowed during evolution by t={t} "
-            f"(model {params.model.value}); growing characteristic roots"
-        )
-    return DensityModeState(k=init.k.copy(), derivs=out, t=init.t + float(t))
+        raise NumericalFailureError(f"density modes overflowed during evolution by t={ts.max()} "
+                                    f"(model {params.model.value}); growing characteristic roots")
+    states = [DensityModeState(init.k.copy(), o, init.t + float(tt)) for tt, o in zip(ts, out)]
+    return states if times.ndim else states[0]
 
 
 @dataclass(frozen=True)

@@ -2,31 +2,44 @@
 
 Everything here deliberately avoids the package's own evolution code paths:
 the ODE integrator is a hand-rolled classical RK4 on the companion system,
-and the spreading-packet formula is written from the closed form.
+the mode exponential is scipy's expm of that system, and the
+spreading-packet formula is written from the closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from rqbm.dispersion import build_polynomial
 from rqbm.units import ModelParams
 
 
-def rk4_density_mode(
-    params: ModelParams, k: float, y0, t_final: float, dt: float = 0.002
-) -> np.ndarray:
-    """Integrate the model's fourth-order mode ODE with classical RK4.
+def _mode_system(params: ModelParams, k: float) -> np.ndarray:
+    """First-order system matrix of the model's fourth-order mode ODE.
 
     Modes follow exp(i omega t) over the roots of P(omega) = sum c_j omega^j,
-    so omega = -i d/dt and the ODE is sum_j c_j (-i)^j rho^(j) = 0.  Returns
-    (rho, rho', rho'', rho''') at t_final.
+    so omega = -i d/dt and the ODE is sum_j c_j (-i)^j rho^(j) = 0, acting on
+    (rho, rho', rho'', rho''').
     """
     c = build_polynomial(params, k).coefficients
     a = np.zeros((4, 4), dtype=np.complex128)
     a[0, 1] = a[1, 2] = a[2, 3] = 1.0
     a[3, :] = [-(c[j] * (-1j) ** j) / c[4] for j in range(4)]
+    return a
 
+
+def expm_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray:
+    """(rho, rho', rho'', rho''') at time t by scipy's expm of the mode system."""
+    return expm(_mode_system(params, k) * t) @ np.asarray(y0, dtype=np.complex128)
+
+
+def rk4_density_mode(
+    params: ModelParams, k: float, y0, t_final: float, dt: float = 0.002
+) -> np.ndarray:
+    """Integrate the model's fourth-order mode ODE with classical RK4 and
+    return (rho, rho', rho'', rho''') at t_final."""
+    a = _mode_system(params, k)
     y = np.asarray(y0, dtype=np.complex128).copy()
     steps = int(round(t_final / dt))
     if abs(steps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):

@@ -140,6 +140,19 @@ class TestDispersionCommand:
         k = [float(line.split(",")[1]) for line in lines[1:]]
         assert k == list(np.geomspace(0.01, float(sweep[5]), int(sweep[7])))
 
+    def test_critically_damped_low_k_sweep_certifies(self, tmp_path):
+        # at D = 1 the phase-diffusion hydrodynamic pair is split by ~1e-9 at
+        # k = 1e-3, far inside the clustering width
+        out = tmp_path / "roots.csv"
+        r = run("dispersion", "--model", "phase-diffusion", "--diffusion", "1",
+                "--k-min", "0.001", "--k-max", "1", "--k-steps", "20", "--out", out)
+        assert r.returncode == 0, r.stderr
+        lines = read_csv_lines(out)
+        cols = lines[0].split(",")
+        res = [[float(line.split(",")[cols.index(f"res{j}")]) for j in range(1, 5)]
+               for line in lines[1:]]
+        assert len(res) == 20 and max(map(max, res)) <= 1e-10
+
 
 class TestEvolveCommand:
     def test_gaussian_run_writes_snapshots_and_charges(self, tmp_path):

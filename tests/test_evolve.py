@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import rqbm.cli
+from rqbm.dispersion import build_polynomial
 from rqbm.errors import InputError, NumericalFailureError, UnsupportedError
 from rqbm.evolve import (
     DensityModeState,
@@ -28,7 +30,7 @@ from rqbm.units import (
     radiative,
 )
 
-from _oracles import rk4_density_mode
+from _oracles import expm_density_mode, rk4_density_mode
 
 
 class TestModeFrequencies:
@@ -330,6 +332,82 @@ class TestDensityEvolution:
             with pytest.raises(NumericalFailureError):
                 with np.errstate(over="ignore", invalid="ignore"):
                     evolve_density(radiative(100.0), st, 10.0)
+
+
+#: Phase diffusion at k = 0.1 has its hydrodynamic pair coalesce at this D;
+#: above it the pair splits along the imaginary axis by ~0.0141 sqrt(D - D_c),
+#: so the offsets below walk the root separation from 1e-2 down to 1e-9.
+PD_COALESCENCE_D = 1.0024999844531016
+COALESCENCE_CASES = [
+    pytest.param(phase_diffusion(PD_COALESCENCE_D + dd), 0.1, id=f"phase-Dc+{dd:g}")
+    for dd in (0.5, 0.05, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
+] + [pytest.param(dalembert_diffusion(1.0), 0.3, id="dalembert-double")]
+
+
+def _min_root_separation(params, k):
+    r = np.roots(build_polynomial(params, k).coefficients[::-1])
+    return min(abs(a - b) for i, a in enumerate(r) for b in r[i + 1:])
+
+
+class TestDensityPropagatorBatch:
+    def test_coalescence_sweep_spans_the_separations(self):
+        seps = [_min_root_separation(*case.values) for case in COALESCENCE_CASES[:-1]]
+        assert seps == sorted(seps, reverse=True)
+        assert seps[0] >= 1e-2 and seps[-1] <= 2e-9
+
+    @pytest.mark.parametrize("params,k", COALESCENCE_CASES)
+    def test_exact_through_root_coalescence(self, params, k):
+        y0 = np.array([1.0, 0.2 - 0.1j, -0.3, 0.05j])
+        st = DensityModeState(k=k, derivs=y0)
+        for t in (0.5, 5.0, 50.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = evolve_density(params, st, t).derivs[0]
+            ref = expm_density_mode(params, k, y0, t)
+            rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-12, f"t={t}: {rel:.2e} from expm"
+
+    @pytest.mark.parametrize("params", [
+        collisional(1.0), radiative(0.3), phase_diffusion(2.0), dalembert_diffusion(1.0),
+    ])
+    def test_array_of_times_matches_scalar_calls(self, params):
+        st = DensityModeState(
+            k=np.array([0.05, 0.4, 1.5]),
+            derivs=np.array([[1.0, 0.0, 0.0, 0.0], [0.5j, 0.1, -0.2, 0.0],
+                             [1.0, 0.2 - 0.1j, -0.3, 0.05j]]),
+        )
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 30), [-1.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batch = evolve_density(params, st, times)
+            assert isinstance(batch, list) and len(batch) == len(times)
+            for t, got in zip(times, batch):
+                one = evolve_density(params, st, t)
+                assert got.t == one.t == st.t + t
+                np.testing.assert_array_equal(got.k, st.k)
+                scale = np.max(np.abs(one.derivs), axis=1, keepdims=True)
+                assert np.all(np.abs(got.derivs - one.derivs) <= 1e-14 * scale)
+        assert np.array_equal(batch[0].derivs, st.derivs)
+
+    def test_rejects_times_of_higher_rank(self):
+        st = DensityModeState(k=0.5, derivs=np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(InputError):
+            evolve_density(collisional(1.0), st, np.ones((2, 2)))
+
+    def test_density_cli_solves_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(params, init, t):
+            calls.append(np.shape(t))
+            return evolve_density(params, init, t)
+
+        monkeypatch.setattr(rqbm.cli, "evolve_density", counted)
+        argv = ["evolve", "--density", "--model", "collisional", "--gamma", "1",
+                "--k", "0.3", "--dt", "0.01", "--steps", "400", "--snapshot-stride", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert rqbm.cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert calls == [(201,)]
 
 
 class TestFrequencyFit:
