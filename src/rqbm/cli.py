@@ -22,7 +22,6 @@ import sys
 import tempfile
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .dispersion import asymptotic_omega, track_branches
@@ -165,6 +164,8 @@ def _model_rows(default) -> list:
 
 
 def _load_config_file(path: str) -> dict:
+    import yaml  # here, not at the top: only --config needs it, and it is slow to load
+
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)

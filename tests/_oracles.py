@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own evolution code paths:
 the ODE integrator is a hand-rolled classical RK4 on the companion system,
-the mode exponential is scipy's expm of that system, and the
-spreading-packet formula is written from the closed form.
+the mode exponential is scipy's expm of that system (or mpmath's, at 40
+digits), the field stepper is its three-level recurrence written in point
+space, and the spreading-packet formula is written from the closed form.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ def _mode_system(params: ModelParams, k: float) -> np.ndarray:
 def expm_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray:
     """(rho, rho', rho'', rho''') at time t by scipy's expm of the mode system."""
     return expm(_mode_system(params, k) * t) @ np.asarray(y0, dtype=np.complex128)
+
+
+def mpmath_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray:
+    """(rho, rho', rho'', rho''') at time t by mpmath's expm of the double
+    mode system times t, carried at 40 digits and rounded at the end."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix((_mode_system(params, k) * t).tolist()))
+        y = e * mpmath.matrix(np.asarray(y0, dtype=np.complex128).tolist())
+        return np.array([complex(v) for v in y])
 
 
 def rk4_density_mode(
@@ -70,3 +82,25 @@ def gaussian_quantum_potential(x, sigma: float) -> np.ndarray:
     """Static Bohm potential of rho = exp(-x^2 / 2 sigma^2), any amplitude."""
     x = np.asarray(x, dtype=float)
     return 0.25 / sigma**2 - x * x / (8.0 * sigma**4)
+
+
+def point_space_stepper(psi0, phi0, k, dt, steps: int, stride: int, u=None):
+    """The field stepper's semi-implicit three-level recurrence written in
+    point space, with the Laplacian as a spectral derivative on every step:
+        (1 - i dt) nxt = 2 cur + dt^2 (lap cur - 2 U cur) - (1 + i dt) prev.
+    Carries the dtype of its inputs (np.clongdouble works) and returns the
+    (prev, cur, nxt) levels of every stride-th step, the first included."""
+    u = 0.0 if u is None else u
+
+    def rhs(p):
+        return np.fft.ifft(-(k * k) * np.fft.fft(p)) - 2.0 * u * p
+
+    prev = psi0 - dt * phi0 + 0.5 * dt * dt * (rhs(psi0) + 2j * phi0)
+    cur = psi0.copy()
+    levels = []
+    for n in range(steps + 1):
+        nxt = (2.0 * cur + dt * dt * rhs(cur) - (1.0 + 1j * dt) * prev) / (1.0 - 1j * dt)
+        if n % stride == 0:
+            levels.append((prev, cur, nxt))
+        prev, cur = cur, nxt
+    return levels

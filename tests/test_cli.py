@@ -313,6 +313,14 @@ class TestTopLevel:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
 
+    def test_cli_import_leaves_yaml_unloaded(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, rqbm.cli; print('yaml' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
 
 DISPERSION_CONFIG = "model: collisional\ngamma: 1.0\n"
 CONFIG_ERRORS = [

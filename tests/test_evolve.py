@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rqbm.cli
+import rqbm.evolve
 from rqbm.dispersion import build_polynomial
 from rqbm.errors import InputError, NumericalFailureError, UnsupportedError
 from rqbm.evolve import (
@@ -30,7 +31,12 @@ from rqbm.units import (
     radiative,
 )
 
-from _oracles import expm_density_mode, rk4_density_mode
+from _oracles import (
+    expm_density_mode,
+    mpmath_density_mode,
+    point_space_stepper,
+    rk4_density_mode,
+)
 
 
 class TestModeFrequencies:
@@ -244,6 +250,69 @@ class TestStepperEvolution:
         assert 1e-3 < diff < 1.0
         assert np.max(np.abs(held.psi.values)) < 2.0
 
+    def test_free_run_transforms_only_at_snapshots(self, monkeypatch):
+        g = Grid1D(128, 32.0)
+        state = particle_branch_project(gaussian_packet(g, sigma=2.0, kbar=0.4))
+        calls = []
+
+        def counted(transform):
+            def call(*args, **kwargs):
+                calls.append(transform.__name__)
+                return transform(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        cfg = EvolutionConfig(dt=0.02, steps=1000, method="stepper", snapshot_stride=1000)
+        snaps = evolve_field(state, cfg)
+        # two forward transforms of the initial state; per snapshot an inverse
+        # one for each of the three levels, except the t = 0 centre, the input
+        assert len(snaps) == 2
+        assert sorted(calls) == ["fft"] * 2 + ["ifft"] * 5
+
+    @pytest.mark.parametrize("potential", [None, "constant", "harmonic"])
+    def test_matches_point_space_recurrence(self, potential):
+        g = Grid1D(128, 32.0)
+        u = {None: None, "constant": np.full(g.n, 0.05),
+             "harmonic": 0.5 * 0.05**2 * g.x**2}[potential]
+        state = particle_branch_project(gaussian_packet(g, sigma=2.0, kbar=0.4))
+        cfg = EvolutionConfig(dt=0.02, steps=400, method="stepper", snapshot_stride=100)
+        snaps, trips = evolve_field(state, cfg, potential=u, return_triples=True)
+        ref = point_space_stepper(state.psi.values, state.dpsi_dt.values, g.wavenumbers,
+                                  cfg.dt, cfg.steps, cfg.snapshot_stride, u)
+        assert len(ref) == len(snaps) == len(trips)
+        peak = np.max(np.abs(state.psi.values))
+        for s, (before, after), (r_prev, r_cur, r_next) in zip(snaps, trips, ref):
+            for got, want in ((s.psi.values, r_cur), (before, r_prev), (after, r_next)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("n,length,dt", [(64, 8.0 * np.pi, 0.02), (1024, 200.0, 0.05)])
+    def test_rounding_no_worse_than_point_space(self, n, length, dt):
+        g = Grid1D(n, length)
+        state = particle_branch_project(gaussian_packet(g, sigma=length / 24, kbar=0.5))
+        psi0, phi0 = state.psi.values, state.dpsi_dt.values
+        steps = 2000
+        exact = point_space_stepper(psi0.astype(np.clongdouble), phi0.astype(np.clongdouble),
+                                    g.wavenumbers.astype(np.longdouble), np.longdouble(dt),
+                                    steps, steps)[-1][1]
+        point = point_space_stepper(psi0, phi0, g.wavenumbers, dt, steps, steps)[-1][1]
+        cfg = EvolutionConfig(dt=dt, steps=steps, method="stepper", snapshot_stride=steps)
+        mode = evolve_field(state, cfg)[-1].psi.values
+        peak = np.max(np.abs(exact))
+        err_point = float(np.max(np.abs(point - exact)) / peak)
+        err_mode = float(np.max(np.abs(mode - exact)) / peak)
+        assert err_mode <= 2.0 * err_point, (err_mode, err_point)
+
+    @pytest.mark.parametrize("constant_u", [0.0, 0.05])
+    def test_initial_snapshot_is_a_copy_of_the_input(self, constant_u):
+        g = Grid1D(64, 16.0)
+        state = particle_branch_project(gaussian_packet(g, sigma=1.0, kbar=0.3))
+        cfg = EvolutionConfig(dt=0.02, steps=10, method="stepper", snapshot_stride=5)
+        first = evolve_field(state, cfg, potential=np.full(g.n, constant_u))[0]
+        assert first.t == state.t
+        assert np.array_equal(first.psi.values, state.psi.values)
+        assert not np.shares_memory(first.psi.values, state.psi.values)
+
 
 class TestDensityModeState:
     def test_scalar_inputs_are_promoted(self):
@@ -408,6 +477,44 @@ class TestDensityPropagatorBatch:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert rqbm.cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
         assert calls == [(201,)]
+
+
+def _mpmath_error(params, k, t):
+    """Largest deviation of the propagated (rho, rho', rho'', rho''') from
+    a 40-digit exponential, relative to the largest reference component."""
+    y0 = np.array([1.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = evolve_density(params, DensityModeState(k=k, derivs=y0), t).derivs[0]
+    ref = mpmath_density_mode(params, k, y0, t)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+class TestDensityExponentialScaling:
+    @pytest.mark.parametrize("params,k", [
+        (collisional(1.0), 0.2), (radiative(1.0), 0.2),
+        (phase_diffusion(2.0), 0.2), (dalembert_diffusion(1.0), 0.3),
+    ])
+    def test_no_less_accurate_than_one_norm_scaling(self, params, k, monkeypatch):
+        pytest.importorskip("mpmath")
+        for t in (1.0, 4.0):
+            err = _mpmath_error(params, k, t)
+            with monkeypatch.context() as m:
+                # the 1-norm count the powers were pre-scaled by, unreduced
+                m.setattr(rqbm.evolve, "_squarings", lambda a, a4, a6, s1: s1)
+                err_one_norm = _mpmath_error(params, k, t)
+            assert err <= err_one_norm, f"t={t}: {err:.2e} > {err_one_norm:.2e}"
+
+    def test_collisional_mode_squares_once(self):
+        pytest.importorskip("mpmath")
+        # the companion's 1-norm asks for two squarings here, eta_5 for one
+        assert _mpmath_error(collisional(1.0), 0.2, 4.0) <= 3e-16
+
+    @pytest.mark.parametrize("k", [0.1, 1.0])
+    def test_ell_correction_on_a_growing_mode(self, k):
+        pytest.importorskip("mpmath")
+        # eta_5 alone squares once too few here and reads 1.4e-13 to 3.5e-13
+        assert _mpmath_error(radiative(1.0), k, 50.0) <= 5e-14
 
 
 class TestFrequencyFit:
