@@ -171,7 +171,10 @@ def evolve_field(state: FieldState, config: EvolutionConfig, potential=None,
     With return_triples=True also returns, per snapshot, the pair of raw
     psi arrays at t - dt and t + dt actually used by the method, so that
     downstream diagnostics can form three-level stencils without ever
-    invoking the equation of motion.
+    invoking the equation of motion.  The stepper hands each level out as
+    one array, so neighbouring windows may share it (with stride 1 the
+    t + dt level of one snapshot is the centre of the next); like the
+    states, the arrays are read-only by contract.
     """
     grid = state.grid
     u = _check_potential(potential, grid)
@@ -209,20 +212,19 @@ def _evolve_exact(state: FieldState, config: EvolutionConfig):
     trips: list[tuple[np.ndarray, np.ndarray]] = []
     stride = config.snapshot_stride
 
-    def psi_hat_at(tau: float) -> np.ndarray:
-        return a_plus * np.exp(-1j * wp * tau) + a_minus * np.exp(-1j * wm * tau)
+    def spectra_at(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        ep = np.exp(-1j * wp * tau)
+        em = np.exp(-1j * wm * tau)
+        return a_plus * ep + a_minus * em, -1j * (wp * a_plus * ep + wm * a_minus * em)
 
     for j in range(config.steps // stride + 1):
         tau = j * stride * config.dt
-        ep = np.exp(-1j * wp * tau)
-        em = np.exp(-1j * wm * tau)
-        psi = np.fft.ifft(a_plus * ep + a_minus * em)
-        dpsi = np.fft.ifft(-1j * (wp * a_plus * ep + wm * a_minus * em))
-        snaps.append(
-            FieldState(ComplexField(grid, psi), ComplexField(grid, dpsi), state.t + tau)
-        )
-        trips.append((np.fft.ifft(psi_hat_at(tau - config.dt)),
-                      np.fft.ifft(psi_hat_at(tau + config.dt))))
+        psh, dsh = spectra_at(tau)
+        snaps.append(FieldState(ComplexField(grid, np.fft.ifft(psh)),
+                                ComplexField(grid, np.fft.ifft(dsh)), state.t + tau))
+        # only psi is needed at the +-dt levels
+        trips.append((np.fft.ifft(spectra_at(tau - config.dt)[0]),
+                      np.fft.ifft(spectra_at(tau + config.dt)[0])))
     return snaps, trips
 
 
@@ -234,7 +236,8 @@ def _evolve_stepper(state: FieldState, config: EvolutionConfig, u):
     so the rounding of the constant b scales only the small increment (the
     form nxt = a cur - b prev would drift by it on every step).  A potential
     adds -(dt^2/(1 - i dt)) fft(2 U psi) to d'.  Point space is visited only
-    for U psi and for snapshots."""
+    for U psi and for snapshots, and each level is inverse-transformed at
+    most once: x_prev and x_cur hold the point-space levels already known."""
     grid = state.grid
     dt = config.dt
     stride = config.snapshot_stride
@@ -245,41 +248,46 @@ def _evolve_stepper(state: FieldState, config: EvolutionConfig, u):
     g = dt * dt * k2 / denom
     h = 2.0 * dt * dt / denom
 
-    psi0 = state.psi.values
-    cur = fft(psi0)
+    x_prev, x_cur = None, state.psi.values.copy()
+    cur = fft(x_cur)
     dh = fft(state.dpsi_dt.values)
     # psi(0) - psi(-dt) by Taylor, with psi'' = lap psi - 2 U psi + 2i psi'
     d = dt * dh - 0.5 * dt * dt * (2j * dh - k2 * cur)
     if u is not None:
-        d += dt * dt * fft(u * psi0)
+        u_hat = fft(u * x_cur)
+        d += dt * dt * u_hat
     prev = cur - d
 
     snaps: list[FieldState] = []
     trips: list[tuple[np.ndarray, np.ndarray]] = []
     for n in range(config.steps + 1):
         step = b * d - g * cur
-        centre = None
         if u is not None:
-            centre = psi0 if n == 0 else ifft(cur)
-            step -= h * fft(u * centre)
+            if n > 0:
+                if x_cur is None:
+                    x_cur = ifft(cur)
+                u_hat = fft(u * x_cur)
+            step -= h * u_hat
         nxt = cur + step
+        x_nxt = None
         if n % stride == 0:
-            if n == 0:
-                centre = psi0.copy()
-            elif centre is None:
-                centre = ifft(cur)
-            if not np.all(np.isfinite(centre)):
+            if x_cur is None:
+                x_cur = ifft(cur)
+            if not np.all(np.isfinite(x_cur)):
                 raise NumericalFailureError(f"field became non-finite at step {n}")
-            before, after = ifft(prev), ifft(nxt)
+            if x_prev is None:
+                x_prev = ifft(prev)
+            x_nxt = ifft(nxt)
             snaps.append(
                 FieldState(
-                    ComplexField(grid, centre),
-                    ComplexField(grid, (after - before) / (2.0 * dt)),
+                    ComplexField(grid, x_cur),
+                    ComplexField(grid, (x_nxt - x_prev) / (2.0 * dt)),
                     state.t + n * dt,
                 )
             )
-            trips.append((before, after))
+            trips.append((x_prev, x_nxt))
         prev, cur, d = cur, nxt, step
+        x_prev, x_cur = x_cur, x_nxt
     return snaps, trips
 
 
@@ -316,58 +324,23 @@ class DensityModeState:
         return self.derivs[:, 0]
 
 
-#: [13/13] Pade coefficients of exp, the norm up to which they need no
-#: scaling, and |c_27| = (13!)^2 / (26! 27!), the leading coefficient of the
-#: Pade error series exp(x) - r13(x) (Higham 2005; Al-Mohy & Higham 2009).
+#: [13/13] Pade coefficients of exp, and the 1-norm up to which they need no
+#: scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
-_C27 = 8.829961602018678e-36
-
-
-def _norm1(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
-def _squarings(a: np.ndarray, a4: np.ndarray, a6: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Squaring count s >= 0 of every matrix of a stack whose powers were
-    taken after scaling by 2^-s1, by Algorithm 5.1 of Al-Mohy & Higham (SIAM
-    J. Matrix Anal. Appl. 31, 2009): scale until eta_5 = min(max(d6, d8),
-    max(d8, d10)), d_p = ||A^p||_1^(1/p), is below theta13, then add the ell
-    correction that keeps the Pade error of the scaled matrix, bounded
-    through |A|^27, under the unit roundoff."""
-    d8 = _norm1(a4 @ a4) ** (1 / 8)
-    eta = np.minimum(np.maximum(_norm1(a6) ** (1 / 6), d8),
-                     np.maximum(d8, _norm1(a4 @ a6) ** (1 / 10)))
-    s = np.maximum(np.frexp(eta / _THETA13)[1] + s1, 0)
-    # ||(2^-s |A|)^27||_1 / ||2^-s A||_1 = ||B^27||_1 ||A||_1^26 2^(-26 s),
-    # with B = |A| / ||A||_1 so that no power under- or overflows
-    tiny = np.finfo(float).tiny
-    nrm = np.maximum(_norm1(a), tiny)
-    b = np.abs(a) / nrm[..., None, None]
-    b2 = b @ b
-    b8 = (b2 @ b2) @ (b2 @ b2)
-    b27 = (b8 @ b8) @ (b8 @ b2) @ b
-    log_alpha = (np.log2(_C27) + np.log2(np.maximum(_norm1(b27), tiny))
-                 + 26 * (np.log2(nrm) + s1 - s))
-    return s + np.maximum(np.ceil((log_alpha + 53) / 26), 0).astype(int)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of every matrix of a (..., m, m) stack by Pade-13 scaling and
-    squaring, each matrix scaled by its own 2^-s (`_squarings`).  The powers
-    are taken after a first scaling to a 1-norm < theta13, so none overflows;
-    s then rescales them exactly, by powers of two."""
+    squaring; each is scaled by 2^-s, s >= 0 from frexp, to a 1-norm < theta13."""
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
+    a = a / np.ldexp(1.0, s)[..., None, None]
     b, eye = _PADE13, np.eye(a.shape[-1])
-    s1 = np.maximum(np.frexp(_norm1(a) / _THETA13)[1], 0)
-    a = a / np.ldexp(1.0, s1)[..., None, None]
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    s = _squarings(a, a4, a6, s1)
-    a, a2, a4, a6 = (m * np.ldexp(1.0, p * (s1 - s))[..., None, None]
-                     for m, p in ((a, 1), (a2, 2), (a4, 4), (a6, 6)))
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the package's own evolution code paths:
 the ODE integrator is a hand-rolled classical RK4 on the companion system,
-the mode exponential is scipy's expm of that system (or mpmath's, at 40
-digits), the field stepper is its three-level recurrence written in point
-space, and the spreading-packet formula is written from the closed form.
+the mode exponential is scipy's expm of that system, the field stepper is
+its three-level recurrence written in point space, and the spreading-packet
+formula is written from the closed form.
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ def _mode_system(params: ModelParams, k: float) -> np.ndarray:
 def expm_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray:
     """(rho, rho', rho'', rho''') at time t by scipy's expm of the mode system."""
     return expm(_mode_system(params, k) * t) @ np.asarray(y0, dtype=np.complex128)
-
-
-def mpmath_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray:
-    """(rho, rho', rho'', rho''') at time t by mpmath's expm of the double
-    mode system times t, carried at 40 digits and rounded at the end."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        e = mpmath.expm(mpmath.matrix((_mode_system(params, k) * t).tolist()))
-        y = e * mpmath.matrix(np.asarray(y0, dtype=np.complex128).tolist())
-        return np.array([complex(v) for v in y])
 
 
 def rk4_density_mode(
