@@ -163,17 +163,17 @@ def _check_potential(potential, grid: Grid1D):
     return u
 
 
-def evolve_field(state: FieldState, config: EvolutionConfig, potential=None,
-                 return_triples: bool = False):
-    """Evolve the field, returning snapshots every snapshot_stride steps
-    (the initial state included; steps/stride + 1 snapshots in total).
+def evolve_field(state: FieldState, config: EvolutionConfig, potential=None):
+    """Check the inputs, then return an iterator of one three-level window
+    (state, psi_prev, psi_next) per snapshot, every snapshot_stride steps
+    (the initial state included; steps/stride + 1 windows in total).
 
-    With return_triples=True also returns, per snapshot, the pair of raw
-    psi arrays at t - dt and t + dt actually used by the method, so that
-    downstream diagnostics can form three-level stencils without ever
-    invoking the equation of motion.  The stepper hands each level out as
-    one array, so neighbouring windows may share it (with stride 1 the
-    t + dt level of one snapshot is the centre of the next); like the
+    psi_prev and psi_next are the raw psi arrays at t - dt and t + dt that
+    the method itself produced, so that downstream diagnostics can form
+    three-level stencils without ever invoking the equation of motion.  The
+    windows are computed as they are consumed.  The stepper hands each level
+    out as one array, so neighbouring windows may share it (with stride 1
+    the t + dt level of one window is the centre of the next); like the
     states, the arrays are read-only by contract.
     """
     grid = state.grid
@@ -183,21 +183,18 @@ def evolve_field(state: FieldState, config: EvolutionConfig, potential=None,
     if config.method == EXACT_MODE:
         if u is not None:
             raise UnsupportedError("exact_mode requires zero potential (mode decoupling)")
-        snaps, trips = _evolve_exact(state, config)
-    else:
-        if dt >= 0.5 * grid.dx:
-            raise InputError(
-                f"stepper needs dt < 0.5 dx for light-cone resolution "
-                f"(dt={dt}, dx={grid.dx})"
-            )
-        if dt >= 0.1:
-            raise InputError(
-                f"stepper needs dt < 0.1 to resolve the internal oscillation "
-                f"(period pi), got dt={dt}"
-            )
-        snaps, trips = _evolve_stepper(state, config, u)
-
-    return (snaps, trips) if return_triples else snaps
+        return _evolve_exact(state, config)
+    if dt >= 0.5 * grid.dx:
+        raise InputError(
+            f"stepper needs dt < 0.5 dx for light-cone resolution "
+            f"(dt={dt}, dx={grid.dx})"
+        )
+    if dt >= 0.1:
+        raise InputError(
+            f"stepper needs dt < 0.1 to resolve the internal oscillation "
+            f"(period pi), got dt={dt}"
+        )
+    return _evolve_stepper(state, config, u)
 
 
 def _evolve_exact(state: FieldState, config: EvolutionConfig):
@@ -207,9 +204,6 @@ def _evolve_exact(state: FieldState, config: EvolutionConfig):
     dh = np.fft.fft(state.dpsi_dt.values)
     a_plus = (1j * dh - wm * ph) / (wp - wm)
     a_minus = ph - a_plus
-
-    snaps: list[FieldState] = []
-    trips: list[tuple[np.ndarray, np.ndarray]] = []
     stride = config.snapshot_stride
 
     def spectra_at(tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -220,12 +214,11 @@ def _evolve_exact(state: FieldState, config: EvolutionConfig):
     for j in range(config.steps // stride + 1):
         tau = j * stride * config.dt
         psh, dsh = spectra_at(tau)
-        snaps.append(FieldState(ComplexField(grid, np.fft.ifft(psh)),
-                                ComplexField(grid, np.fft.ifft(dsh)), state.t + tau))
+        centre = FieldState(ComplexField(grid, np.fft.ifft(psh)),
+                            ComplexField(grid, np.fft.ifft(dsh)), state.t + tau)
         # only psi is needed at the +-dt levels
-        trips.append((np.fft.ifft(spectra_at(tau - config.dt)[0]),
-                      np.fft.ifft(spectra_at(tau + config.dt)[0])))
-    return snaps, trips
+        yield (centre, np.fft.ifft(spectra_at(tau - config.dt)[0]),
+               np.fft.ifft(spectra_at(tau + config.dt)[0]))
 
 
 def _evolve_stepper(state: FieldState, config: EvolutionConfig, u):
@@ -258,8 +251,6 @@ def _evolve_stepper(state: FieldState, config: EvolutionConfig, u):
         d += dt * dt * u_hat
     prev = cur - d
 
-    snaps: list[FieldState] = []
-    trips: list[tuple[np.ndarray, np.ndarray]] = []
     for n in range(config.steps + 1):
         step = b * d - g * cur
         if u is not None:
@@ -278,17 +269,12 @@ def _evolve_stepper(state: FieldState, config: EvolutionConfig, u):
             if x_prev is None:
                 x_prev = ifft(prev)
             x_nxt = ifft(nxt)
-            snaps.append(
-                FieldState(
-                    ComplexField(grid, x_cur),
-                    ComplexField(grid, (x_nxt - x_prev) / (2.0 * dt)),
-                    state.t + n * dt,
-                )
-            )
-            trips.append((x_prev, x_nxt))
+            yield (FieldState(ComplexField(grid, x_cur),
+                              ComplexField(grid, (x_nxt - x_prev) / (2.0 * dt)),
+                              state.t + n * dt),
+                   x_prev, x_nxt)
         prev, cur, d = cur, nxt, step
         x_prev, x_cur = x_cur, x_nxt
-    return snaps, trips
 
 
 @dataclass(frozen=True)

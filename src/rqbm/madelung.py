@@ -68,6 +68,8 @@ def decompose(psi: ComplexField, prior_S=None, t: float = 0.0) -> MadelungFields
     """
     v = psi.values
     rho = np.abs(v) ** 2
+    if not np.all(np.isfinite(rho)):
+        raise InputError("rho = |psi|^2 must be finite")
     valid = rho > FLOOR
     if not valid.any():
         raise InputError("cannot decompose a (numerically) zero field")

@@ -208,7 +208,8 @@ def test_criterion_05_root_certification_random_quartics(criterion):
                      f"worst Vieta dev {worst_vieta:.2e} (both <=1e-10)")
 
 
-def _fit_mode4(snaps):
+def _fit_mode4(windows):
+    snaps = [s for s, _, _ in windows]
     t = np.array([s.t for s in snaps])
     v = np.array([np.fft.fft(s.psi.values)[4] for s in snaps])
     return fit_mode_frequency(t, v).omega
@@ -219,8 +220,7 @@ def test_criterion_06_plane_wave_frequency(criterion):
     target = np.sqrt(2.0) - 1.0
     state = particle_branch_project(plane_wave(g, 1.0))
 
-    snaps = evolve_field(state, EvolutionConfig(dt=0.1, steps=100))
-    err_exact = abs(_fit_mode4(snaps) - target)
+    err_exact = abs(_fit_mode4(evolve_field(state, EvolutionConfig(dt=0.1, steps=100))) - target)
 
     errs = []
     for dt in (0.02, 0.01, 0.005):
@@ -241,19 +241,19 @@ def test_criterion_07_nonrelativistic_limit(criterion):
     g = Grid1D(1024, 1000.0)
     sigma, kbar, t_final = 20.0, 0.01, 100.0
     state = particle_branch_project(gaussian_packet(g, sigma, kbar))
-    final = evolve_field(
+    final = list(evolve_field(
         state, EvolutionConfig(dt=1.0, steps=100, snapshot_stride=100)
-    )[-1]
+    ))[-1][0]
     ref = nonrel_gaussian(g.x, t_final, sigma, kbar)
     linf = float(np.max(np.abs(final.psi.values - ref)))
     criterion(7, linf < 1e-5, f"L-inf deviation from spreading Gaussian "
                               f"{linf:.3e} (<1e-5) at T={t_final:g}")
 
 
-def _charge_series(snaps, trips, dt):
+def _charge_series(windows, dt):
     out = []
     prior = None
-    for s, (prev, nxt) in zip(snaps, trips):
+    for s, prev, nxt in windows:
         g = s.grid
         f0 = decompose(ComplexField(g, prev), prior_S=prior, t=s.t - dt)
         f1 = decompose(s.psi, prior_S=f0.S, t=s.t)
@@ -267,12 +267,8 @@ def test_criterion_08_conservation(criterion):
     g = Grid1D(1024, 1000.0)
     state = particle_branch_project(gaussian_packet(g, 20.0, 0.1))
     dt = 0.05
-    snaps, trips = evolve_field(
-        state,
-        EvolutionConfig(dt=dt, steps=2000, snapshot_stride=20),
-        return_triples=True,
-    )
-    charges = _charge_series(snaps, trips, dt)
+    windows = evolve_field(state, EvolutionConfig(dt=dt, steps=2000, snapshot_stride=20))
+    charges = _charge_series(windows, dt)
     e = np.array([c.E for c in charges])
     n = np.array([c.N for c in charges])
     n_mod = np.array([c.N_mod for c in charges])
@@ -288,15 +284,13 @@ def test_criterion_09_madelung_residuals(criterion):
     g = Grid1D(64, 8.0 * np.pi)
     state = particle_branch_project(plane_wave(g, 1.0))
     dt = 0.005
-    snaps, trips = evolve_field(
-        state,
-        EvolutionConfig(dt=dt, steps=2000, method="stepper", snapshot_stride=200),
-        return_triples=True,
+    windows = evolve_field(
+        state, EvolutionConfig(dt=dt, steps=2000, method="stepper", snapshot_stride=200)
     )
     worst_cont = worst_hj = 0.0
     prior = None
     last_hist = None
-    for s, (prev, nxt) in zip(snaps, trips):
+    for s, prev, nxt in windows:
         f0 = decompose(ComplexField(g, prev), prior_S=prior, t=s.t - dt)
         f1 = decompose(s.psi, prior_S=f0.S, t=s.t)
         f2 = decompose(ComplexField(g, nxt), prior_S=f1.S, t=s.t + dt)

@@ -7,11 +7,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rqbm import cli
 from rqbm.cli import _write_table
+from rqbm.evolve import EvolutionConfig, evolve_field, gaussian_packet, particle_branch_project
+from rqbm.grid import ComplexField, Grid1D
+from rqbm.madelung import decompose, quantum_potential, residuals
+from rqbm.units import Model, ModelParams
 
 DISPERSION_HEADER = (
     "model,k,re_w1,im_w1,re_w2,im_w2,re_w3,im_w3,re_w4,im_w4,"
@@ -217,6 +223,75 @@ class TestEvolveCommand:
                 "--dt", "1.0", "--steps", "400", "--snapshot-stride", "400")
         assert r.returncode == 3
         assert "numerical failure" in r.stderr
+
+    def test_diverging_run_is_numerical_failure(self, tmp_path):
+        # |psi| reaches 7e156 by t = 2.9, where rho = |psi|^2 overflows
+        out = tmp_path / "run"
+        r = run("evolve", "--method", "stepper", "--potential", "harmonic",
+                "--omega0", "10", "--n", "256", "--length", "100", "--dt", "0.05",
+                "--steps", "400", "--snapshot-stride", "1", "--out", out)
+        assert r.returncode == 3, r.stderr
+        assert "numerical failure" in r.stderr
+        assert not list(out.glob("traj.*"))
+
+
+def evolve_in_process(out, *argv) -> None:
+    assert cli.main(["evolve", "--out", str(out), *map(str, argv)]) == 0
+
+
+STRIDE_1 = ["--n", "256", "--length", "100", "--dt", "0.05"]
+
+
+class TestEvolveStream:
+    """In-process `rqbm evolve` runs that watch how the windows are consumed."""
+
+    @pytest.mark.parametrize("method,calls", [("stepper", 40 + 2), ("exact-mode", 3 * 40)])
+    def test_each_shared_level_is_decomposed_once(self, tmp_path, monkeypatch, method, calls):
+        # the stepper shares the levels of neighbouring windows at stride 1;
+        # exact mode computes three fresh levels per window
+        counted = []
+
+        def decompose_counted(*args, **kwargs):
+            counted.append(kwargs["t"])
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", decompose_counted)
+        evolve_in_process(tmp_path / "run", "--method", method, "--steps", 39, *STRIDE_1)
+        assert len(counted) == calls
+
+    def test_shared_levels_give_the_bytes_of_fresh_decompositions(self, tmp_path):
+        evolve_in_process(tmp_path / "run", "--method", "stepper", "--steps", 30, *STRIDE_1)
+        grid, dt = Grid1D(256, 100.0), 0.05
+        state = particle_branch_project(gaussian_packet(grid, 8.0, 0.0))
+        prior, rows = None, []
+        for s, prev, nxt in evolve_field(state, EvolutionConfig(dt, 30, "stepper")):
+            f0 = decompose(ComplexField(grid, prev), prior_S=prior, t=s.t - dt)
+            f1 = decompose(s.psi, prior_S=f0.S, t=s.t)
+            f2 = decompose(ComplexField(grid, nxt), prior_S=f1.S, t=s.t + dt)
+            prior = f1.S
+            d = residuals((f0, f1, f2), ModelParams(Model.CONSERVATIVE))
+            rows.append([s.t, d.N, d.N_mod, d.E, d.continuity_residual, d.hj_residual])
+        traj = read_csv_lines(tmp_path / "run" / "traj.csv")[1:]
+        assert [[float(v) for v in line.split(",")] for line in traj] == rows
+        snap = csv_columns(read_csv_lines(tmp_path / "run" / "snap_1.5.csv"))
+        np.testing.assert_array_equal(snap["S"], f1.S)
+        np.testing.assert_array_equal(snap["Q"], quantum_potential(
+            grid, (f0.rho, f1.rho, f2.rho), dt))
+
+    @pytest.mark.parametrize("method", ["stepper", "exact-mode"])
+    def test_traced_peak_does_not_grow_with_the_run(self, tmp_path, method):
+        def peak(steps: int) -> int:
+            tracemalloc.start()
+            try:
+                evolve_in_process(tmp_path / f"run{steps}", "--method", method,
+                                  "--steps", steps, *STRIDE_1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)  # first-call allocations that later runs reuse
+        short, long = peak(25), peak(200)
+        assert long <= 1.5 * short, (short, long)
 
 
 class TestMadelungCommand:

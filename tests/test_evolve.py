@@ -149,7 +149,7 @@ class TestExactModeEvolution:
         k = 1.0
         state = particle_branch_project(plane_wave(g, k))
         cfg = EvolutionConfig(dt=0.25, steps=40, snapshot_stride=10)
-        snaps = evolve_field(state, cfg)
+        snaps = [s for s, _, _ in evolve_field(state, cfg)]
         wp, _ = conservative_mode_frequencies(k)
         assert len(snaps) == 5
         for s in snaps:
@@ -160,18 +160,19 @@ class TestExactModeEvolution:
     def test_snapshot_times_and_count(self):
         g = Grid1D(32, 10.0)
         state = particle_branch_project(gaussian_packet(g, sigma=0.8, kbar=0.0))
-        snaps = evolve_field(state, EvolutionConfig(dt=0.5, steps=6, snapshot_stride=2))
+        snaps = [s for s, _, _ in evolve_field(state, EvolutionConfig(dt=0.5, steps=6,
+                                                                      snapshot_stride=2))]
         assert [s.t for s in snaps] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_return_triples_bracket_each_snapshot(self):
+    def test_windows_bracket_each_snapshot(self):
         g = Grid1D(64, 8.0 * np.pi)
         k = 1.0
         state = particle_branch_project(plane_wave(g, k))
         cfg = EvolutionConfig(dt=0.2, steps=10, snapshot_stride=5)
-        snaps, trips = evolve_field(state, cfg, return_triples=True)
+        windows = list(evolve_field(state, cfg))
         wp, _ = conservative_mode_frequencies(k)
-        assert len(trips) == len(snaps)
-        for s, (before, after) in zip(snaps, trips):
+        assert len(windows) == 3
+        for s, before, after in windows:
             np.testing.assert_allclose(
                 before, np.exp(1j * (k * g.x - wp * (s.t - cfg.dt))), atol=1e-12
             )
@@ -186,8 +187,8 @@ class TestExactModeEvolution:
         with pytest.raises(UnsupportedError):
             evolve_field(state, cfg, potential=np.ones(g.n))
         # an identically zero potential is the free problem
-        snaps = evolve_field(state, cfg, potential=np.zeros(g.n))
-        assert len(snaps) == 3
+        windows = list(evolve_field(state, cfg, potential=np.zeros(g.n)))
+        assert len(windows) == 3
 
     def test_potential_validation(self):
         g = Grid1D(32, 10.0)
@@ -217,7 +218,7 @@ class TestStepperEvolution:
         k = 1.0
         state = particle_branch_project(plane_wave(g, k))
         cfg = EvolutionConfig(dt=0.01, steps=200, method="stepper", snapshot_stride=200)
-        final = evolve_field(state, cfg)[-1]
+        final = list(evolve_field(state, cfg))[-1][0]
         wp, _ = conservative_mode_frequencies(k)
         expect = np.exp(1j * (k * g.x - wp * final.t))
         assert np.max(np.abs(final.psi.values - expect)) < 1e-4
@@ -226,8 +227,7 @@ class TestStepperEvolution:
         g = Grid1D(64, 8.0 * np.pi)
         state = particle_branch_project(gaussian_packet(g, sigma=2.0, kbar=0.4))
         cfg = EvolutionConfig(dt=0.02, steps=20, method="stepper", snapshot_stride=10)
-        snaps, trips = evolve_field(state, cfg, return_triples=True)
-        for s, (before, after) in zip(snaps, trips):
+        for s, before, after in evolve_field(state, cfg):
             np.testing.assert_allclose(
                 s.dpsi_dt.values, (after - before) / (2.0 * cfg.dt), atol=1e-13
             )
@@ -238,8 +238,8 @@ class TestStepperEvolution:
         g = Grid1D(64, 8.0 * np.pi)
         state = particle_branch_project(plane_wave(g, 1.0))
         cfg = EvolutionConfig(dt=0.02, steps=100, method="stepper", snapshot_stride=100)
-        free = evolve_field(state, cfg)[-1]
-        held = evolve_field(state, cfg, potential=np.full(g.n, 0.05))[-1]
+        free = list(evolve_field(state, cfg))[-1][0]
+        held = list(evolve_field(state, cfg, potential=np.full(g.n, 0.05)))[-1][0]
         diff = np.max(np.abs(free.psi.values - held.psi.values))
         assert 1e-3 < diff < 1.0
         assert np.max(np.abs(held.psi.values)) < 2.0
@@ -270,8 +270,8 @@ class TestStepperEvolution:
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         cfg = EvolutionConfig(dt=0.02, steps=1000, method="stepper", snapshot_stride=stride)
-        snaps = evolve_field(state, cfg, potential=u)
-        assert len(snaps) == 1000 // stride + 1
+        windows = list(evolve_field(state, cfg, potential=u))
+        assert len(windows) == 1000 // stride + 1
         assert (calls.count("fft"), calls.count("ifft")) == (n_fft, n_ifft)
 
     @pytest.mark.parametrize("potential", [None, "constant", "harmonic"])
@@ -281,12 +281,12 @@ class TestStepperEvolution:
              "harmonic": 0.5 * 0.05**2 * g.x**2}[potential]
         state = particle_branch_project(gaussian_packet(g, sigma=2.0, kbar=0.4))
         cfg = EvolutionConfig(dt=0.02, steps=400, method="stepper", snapshot_stride=100)
-        snaps, trips = evolve_field(state, cfg, potential=u, return_triples=True)
+        windows = list(evolve_field(state, cfg, potential=u))
         ref = point_space_stepper(state.psi.values, state.dpsi_dt.values, g.wavenumbers,
                                   cfg.dt, cfg.steps, cfg.snapshot_stride, u)
-        assert len(ref) == len(snaps) == len(trips)
+        assert len(ref) == len(windows)
         peak = np.max(np.abs(state.psi.values))
-        for s, (before, after), (r_prev, r_cur, r_next) in zip(snaps, trips, ref):
+        for (s, before, after), (r_prev, r_cur, r_next) in zip(windows, ref):
             for got, want in ((s.psi.values, r_cur), (before, r_prev), (after, r_next)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
@@ -303,7 +303,7 @@ class TestStepperEvolution:
                                     steps, steps)[-1][1]
         point = point_space_stepper(psi0, phi0, g.wavenumbers, dt, steps, steps)[-1][1]
         cfg = EvolutionConfig(dt=dt, steps=steps, method="stepper", snapshot_stride=steps)
-        mode = evolve_field(state, cfg)[-1].psi.values
+        mode = list(evolve_field(state, cfg))[-1][0].psi.values
         peak = np.max(np.abs(exact))
         err_point = float(np.max(np.abs(point - exact)) / peak)
         err_mode = float(np.max(np.abs(mode - exact)) / peak)
@@ -314,7 +314,7 @@ class TestStepperEvolution:
         g = Grid1D(64, 16.0)
         state = particle_branch_project(gaussian_packet(g, sigma=1.0, kbar=0.3))
         cfg = EvolutionConfig(dt=0.02, steps=10, method="stepper", snapshot_stride=5)
-        first = evolve_field(state, cfg, potential=np.full(g.n, constant_u))[0]
+        first, _, _ = next(evolve_field(state, cfg, potential=np.full(g.n, constant_u)))
         assert first.t == state.t
         assert np.array_equal(first.psi.values, state.psi.values)
         assert not np.shares_memory(first.psi.values, state.psi.values)

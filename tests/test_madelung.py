@@ -73,6 +73,14 @@ class TestDecompose:
         with pytest.raises(InputError):
             decompose(ComplexField(g, np.zeros(g.n, dtype=complex)))
 
+    @pytest.mark.parametrize("prior", [None, "zero"])
+    def test_overflowing_density_rejected(self, prior):
+        # |psi| = 1e200 is finite, |psi|^2 is not
+        g = Grid1D(32, 10.0)
+        psi = ComplexField(g, np.full(g.n, 1e200, dtype=complex))
+        with pytest.raises(InputError, match="finite"), np.errstate(over="ignore"):
+            decompose(psi, prior_S=None if prior is None else np.zeros(g.n))
+
     def test_prior_fixes_branch_of_two_pi(self):
         g = Grid1D(64, 20.0)
         psi = _gaussian_field(g, 2.0)
@@ -195,7 +203,7 @@ class TestResiduals:
     def test_exact_plane_wave_run_has_tiny_residuals(self):
         g = Grid1D(64, 8.0 * np.pi)
         state = particle_branch_project(plane_wave(g, 1.0))
-        snaps = evolve_field(state, EvolutionConfig(dt=0.01, steps=2))
+        snaps = [s for s, _, _ in evolve_field(state, EvolutionConfig(dt=0.01, steps=2))]
         hist = []
         prior = None
         for s in snaps:
