@@ -390,18 +390,19 @@ def _run_evolve(cfg: dict) -> int:
             # shares them at stride 1) is re-stamped, not decomposed again:
             # the time is set afresh because residuals take dt from it.
             try:
-                f0 = (replace(f1, t=s.t - dt) if prev is last_centre else
-                      decompose(ComplexField(grid, prev),
-                                prior_S=None if f1 is None else f1.S, t=s.t - dt))
-                f1 = (replace(f2, t=s.t) if s.psi.values is last_nxt else
-                      decompose(s.psi, prior_S=f0.S, t=s.t))
-                f2 = decompose(ComplexField(grid, nxt), prior_S=f1.S, t=s.t + dt)
-            except InputError as exc:
-                # every input was checked before the run: an evolved level
-                # that cannot be decomposed has overflowed
+                with np.errstate(over="raise", invalid="raise"):
+                    f0 = (replace(f1, t=s.t - dt) if prev is last_centre else
+                          decompose(ComplexField(grid, prev),
+                                    prior_S=None if f1 is None else f1.S, t=s.t - dt))
+                    f1 = (replace(f2, t=s.t) if s.psi.values is last_nxt else
+                          decompose(s.psi, prior_S=f0.S, t=s.t))
+                    f2 = decompose(ComplexField(grid, nxt), prior_S=f1.S, t=s.t + dt)
+                    diag = residuals((f0, f1, f2), params, potential=potential)
+                    q = quantum_potential(grid, (f0.rho, f1.rho, f2.rho), dt)
+            except (InputError, FloatingPointError) as exc:
+                # every input was checked before the run: an evolved window
+                # whose levels or residuals overflow has diverged
                 raise NumericalFailureError(f"field overflowed near t={s.t:.12g}: {exc}") from exc
-            diag = residuals((f0, f1, f2), params, potential=potential)
-            q = quantum_potential(grid, (f0.rho, f1.rho, f2.rho), dt)
             rho, sph = f1.rho, f1.S
             traj_rows.append([s.t, diag.N, diag.N_mod, diag.E,
                               diag.continuity_residual, diag.hj_residual])

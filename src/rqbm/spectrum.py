@@ -8,7 +8,9 @@ E ~ 1 + eps - eps^2/2 tracked alongside.
 Discretizations: the free particle uses the periodic spectral grid (exact
 plane-wave eigenstates); everything else uses the symmetric 3-point
 finite-difference Laplacian with Dirichlet walls, which is second order in
-dx and Richardson-refinable.
+dx and Richardson-refinable.  With U = 0 (the box) that operator's levels
+are closed form, (2/h^2) sin^2(m pi / (2(n + 1))) on n interior points;
+only a nonzero potential calls scipy's tridiagonal eigensolver.
 """
 
 from __future__ import annotations
@@ -71,7 +73,13 @@ def box_levels(width: float, count: int) -> np.ndarray:
 
 
 def _dirichlet_eigen(u: np.ndarray, h: float, count: int) -> np.ndarray:
-    # scipy costs ~0.3 s to import, so only the eigensolver loads it
+    if not np.any(u):
+        # with U = 0 the discrete sine modes are exact eigenvectors of the
+        # 3-point operator, so its levels are closed form
+        m = np.arange(1, count + 1)
+        return (2.0 / (h * h)) * np.sin(m * np.pi / (2 * (len(u) + 1))) ** 2
+    # importing scipy.linalg takes about 0.25 s (0.36 s of CPU) on a 2-vCPU
+    # x86_64 machine, so only a nonzero potential loads it
     from scipy.linalg import eigh_tridiagonal
 
     diag = 1.0 / (h * h) + u

@@ -225,14 +225,20 @@ class TestEvolveCommand:
         assert "numerical failure" in r.stderr
 
     def test_diverging_run_is_numerical_failure(self, tmp_path):
-        # |psi| reaches 7e156 by t = 2.9, where rho = |psi|^2 overflows
+        # |psi| grows without bound; by t = 1.4 the residual norms of a
+        # window overflow, and the run stops there with one line and no
+        # numpy warning
         out = tmp_path / "run"
         r = run("evolve", "--method", "stepper", "--potential", "harmonic",
                 "--omega0", "10", "--n", "256", "--length", "100", "--dt", "0.05",
                 "--steps", "400", "--snapshot-stride", "1", "--out", out)
         assert r.returncode == 3, r.stderr
-        assert "numerical failure" in r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        assert lines[0].startswith("rqbm: numerical failure: field overflowed near t=")
         assert not list(out.glob("traj.*"))
+        # the snapshots written before the failing window stay on disk
+        assert list(out.glob("snap_*.csv"))
 
 
 def evolve_in_process(out, *argv) -> None:
@@ -372,6 +378,27 @@ class TestSpectrumCommand:
         r = run("spectrum", "--potential", "harmonic", "--out", tmp_path / "x.csv")
         assert r.returncode == 2
         assert "--omega0" in r.stderr
+
+    def test_closed_form_levels_need_no_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every `import scipy...` fail
+        runs = [
+            ["--potential", "box", "--width", "10", "--n", "4096", "--levels", "8"],
+            ["--potential", "box", "--width", "10", "--n", "4096", "--levels", "8",
+             "--richardson"],
+            ["--potential", "free", "--n", "256", "--levels", "8"],
+            ["--potential", "harmonic", "--omega0", "0.5", "--n", "256", "--length", "40"],
+        ]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from rqbm import cli\n"
+            f"for j, argv in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + f'/levels{{j}}.csv'\n"
+            "    print(cli.main(['spectrum', *argv, '--out', out]))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # the harmonic run needs the eigensolver, which shows the block works
+        assert r.stdout.split() == ["0", "0", "0", "3"], r.stderr
 
 
 class TestTopLevel:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from rqbm.errors import DomainError, InputError, UnsupportedError
 from rqbm.grid import Grid1D
@@ -10,12 +11,15 @@ from rqbm.spectrum import (
     Free,
     Harmonic,
     Tabulated,
+    _dirichlet_eigen,
     box_levels,
     harmonic_levels,
     nonrel_eigen,
     nonrel_eigen_richardson,
     relativistic_map,
 )
+
+U = 2.0**-53  # unit roundoff
 
 
 class TestAnalyticLevels:
@@ -68,13 +72,32 @@ class TestNonrelEigen:
         assert np.all(refined < 1e-2 * plain)
 
     def test_box_richardson_is_fourth_order(self):
-        # the fine box mesh must be exactly half the coarse one, width/(n+1)
+        # the fine box mesh must be exactly half the coarse one, width/(n+1);
+        # closed-form levels keep the 16x fall going up to n = 1024, where an
+        # iterative eigensolver's eps ||T|| error would already dominate
         w = 10.0
-        exact = box_levels(w, 3)
-        errs = [np.abs(nonrel_eigen_richardson(Box(w), Grid1D(n, w), 3) - exact)
-                for n in (32, 64, 128)]
+        exact = box_levels(w, 8)
+        errs = [np.abs(nonrel_eigen_richardson(Box(w), Grid1D(n, w), 8) - exact)
+                for n in (32, 64, 128, 256, 512, 1024)]
         for coarse, fine in zip(errs, errs[1:]):
             assert np.all(coarse / fine >= 12.0)
+
+    @pytest.mark.parametrize("n", [7, 257, 4096, 8193])
+    def test_zero_potential_levels_are_closed_form(self, n):
+        # the box meshes of both Richardson levels (n and 2n + 1 points)
+        h = 10.0 / (n + 1)
+        count = min(8, n)
+        eps = _dirichlet_eigen(np.zeros(n), h, count)
+        ref = eigh_tridiagonal(np.full(n, 1.0 / (h * h)), np.full(n - 1, -0.5 / (h * h)),
+                               select="i", select_range=(0, count - 1), eigvals_only=True)
+        assert np.all(np.abs(eps - ref) <= 8 * U * 2 / h**2)
+
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = np.array([float(2 / mpmath.mpf(h) ** 2
+                                    * mpmath.sin(m * mpmath.pi / (2 * (n + 1))) ** 2)
+                              for m in range(1, count + 1)])
+        assert np.all(np.abs(eps - exact) <= 4 * np.spacing(exact))
 
     def test_box_uses_its_own_mesh(self):
         w = 2.0
