@@ -37,7 +37,7 @@ from .evolve import (
     plane_wave,
 )
 from .grid import ComplexField, Grid1D
-from .madelung import FLOOR, decompose, quantum_potential, reconstruct, residuals
+from .madelung import FLOOR, MadelungFields, decompose, reconstruct, residuals
 from .spectrum import (
     Box,
     Free,
@@ -307,6 +307,22 @@ def _snap_name(t: float, fmt: str) -> str:
     return f"snap_{t:.12g}.{fmt}"
 
 
+def _window(grid: Grid1D, levels, times, params: ModelParams, potential=None, prior=None):
+    """The Madelung fields and diagnostics of one window, for both `evolve`
+    and `madelung`.  A level is a psi array, decomposed against the phase of
+    the level before it (the first against `prior`), or the MadelungFields a
+    previous window made of it, which is only re-stamped."""
+    fields = []
+    for level, t in zip(levels, times):
+        if isinstance(level, MadelungFields):
+            f = replace(level, t=t)
+        else:
+            f = decompose(ComplexField(grid, level), prior_S=prior, t=t)
+        fields.append(f)
+        prior = f.S
+    return fields, residuals(fields, params, potential=potential)
+
+
 EVOLVE = COMMON + _model_rows("conservative") + [
     ("n", int, 256, "grid points"),
     ("length", POSITIVE, 100.0, "periodic box length"),
@@ -316,9 +332,6 @@ EVOLVE = COMMON + _model_rows("conservative") + [
     ("snapshot-stride", int, 1, "steps between written snapshots"),
     ("init", ("gaussian", "plane-wave", "zero"), "gaussian", "initial field"),
     ("sigma", POSITIVE, 8.0, "Gaussian packet width"),
-    # kbar defaults to an at-rest packet: a drift that is not an exact grid
-    # mode winds fractionally at the periodic seam and poisons the pointwise
-    # residual columns (the integral charges are unaffected)
     ("kbar", float, 0.0, "Gaussian packet mean wavenumber"),
     ("mode-k", float, None, "plane-wave wavenumber, a grid mode (--init plane-wave)"),
     ("amplitude", float, 1.0, "plane-wave amplitude"),
@@ -380,36 +393,33 @@ def _run_evolve(cfg: dict) -> int:
     # the equation is linear, so a zero field stays exactly zero
     zero_run = not np.any(state.psi.values)
     traj_rows = []
-    f1 = f2 = last_centre = last_nxt = None
+    fields = arrays = (None, None, None)  # the last window's
     for s, prev, nxt in evolve_field(state, econf, potential=potential):
         if zero_run:
             q = rho = sph = np.zeros(grid.n)
             traj_rows.append([s.t, 0.0, 0.0, 0.0, 0.0, 0.0])
         else:
-            # A level the previous window already decomposed (the stepper
-            # shares them at stride 1) is re-stamped, not decomposed again:
-            # the time is set afresh because residuals take dt from it.
+            # a level the last window decomposed (they share them at stride 1)
+            # is reused; every level carries the time of its snapshot file
+            # name, as `madelung` reads it, for residuals take dt from them
+            levels = [fields[1] if prev is arrays[1] else prev,
+                      fields[2] if s.psi.values is arrays[2] else s.psi.values, nxt]
+            times = [float(f"{t:.12g}") for t in (s.t - dt, s.t, s.t + dt)]
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    f0 = (replace(f1, t=s.t - dt) if prev is last_centre else
-                          decompose(ComplexField(grid, prev),
-                                    prior_S=None if f1 is None else f1.S, t=s.t - dt))
-                    f1 = (replace(f2, t=s.t) if s.psi.values is last_nxt else
-                          decompose(s.psi, prior_S=f0.S, t=s.t))
-                    f2 = decompose(ComplexField(grid, nxt), prior_S=f1.S, t=s.t + dt)
-                    diag = residuals((f0, f1, f2), params, potential=potential)
-                    q = quantum_potential(grid, (f0.rho, f1.rho, f2.rho), dt)
+                    fields, diag = _window(grid, levels, times, params, potential,
+                                           prior=None if fields[1] is None else fields[1].S)
             except (InputError, FloatingPointError) as exc:
                 # every input was checked before the run: an evolved window
                 # whose levels or residuals overflow has diverged
                 raise NumericalFailureError(f"field overflowed near t={s.t:.12g}: {exc}") from exc
-            rho, sph = f1.rho, f1.S
+            q, rho, sph = diag.Q, fields[1].rho, fields[1].S
             traj_rows.append([s.t, diag.N, diag.N_mod, diag.E,
                               diag.continuity_residual, diag.hj_residual])
         _write_table(os.path.join(outdir, _snap_name(s.t, fmt)), fmt,
                      ["x", "re_psi", "im_psi", "rho", "S", "Q"],
                      [grid.x, s.psi.values.real, s.psi.values.imag, rho, sph, q])
-        last_centre, last_nxt = s.psi.values, nxt
+        arrays = (prev, s.psi.values, nxt)
 
     path = os.path.join(outdir, f"traj.{fmt}")
     _write_table(path, fmt,
@@ -463,21 +473,8 @@ def _run_madelung(cfg: dict) -> int:
     if np.max(np.abs(dxs - dxs[0])) > 1e-9 * abs(dxs[0]):
         raise InputError("snapshot x column is not uniformly spaced")
     grid = Grid1D(len(x), float(len(x) * dxs[0]))
-    dt01, dt12 = ts[1] - ts[0], ts[2] - ts[1]
-    if dt01 <= 0 or abs(dt12 - dt01) > 1e-9 * abs(dt01):
-        raise InputError(
-            f"snapshots are not three consecutive levels (dt {dt01} vs {dt12})"
-        )
-
-    prior = None
-    fields = []
-    for psi, t in zip(psis, ts):
-        f = decompose(ComplexField(grid, psi), prior_S=prior, t=t)
-        prior = f.S
-        fields.append(f)
-    diag = residuals(fields, params)
+    fields, diag = _window(grid, psis, ts, params)
     f1 = fields[1]
-    q = quantum_potential(grid, tuple(f.rho for f in fields), dt01)
     recon = reconstruct(f1)
     ok = f1.rho > FLOOR
     recon_err = float(np.max(np.abs(recon.values - psis[1])[ok])) if ok.any() else 0.0
@@ -492,7 +489,7 @@ def _run_madelung(cfg: dict) -> int:
         "excluded_fraction": diag.excluded_fraction,
         "reconstruction_error": recon_err,
     }
-    _write_table(cfg["out"], cfg["format"], ["x", "rho", "S", "Q"], [x, f1.rho, f1.S, q],
+    _write_table(cfg["out"], cfg["format"], ["x", "rho", "S", "Q"], [x, f1.rho, f1.S, diag.Q],
                  footer=footer)
     log.info("wrote %s (hj_residual = %.3e)", cfg["out"], diag.hj_residual)
     return 0

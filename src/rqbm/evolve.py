@@ -171,7 +171,7 @@ def evolve_field(state: FieldState, config: EvolutionConfig, potential=None):
     psi_prev and psi_next are the raw psi arrays at t - dt and t + dt that
     the method itself produced, so that downstream diagnostics can form
     three-level stencils without ever invoking the equation of motion.  The
-    windows are computed as they are consumed.  The stepper hands each level
+    windows are computed as they are consumed.  Both methods hand each level
     out as one array, so neighbouring windows may share it (with stride 1
     the t + dt level of one window is the centre of the next); like the
     states, the arrays are read-only by contract.
@@ -198,27 +198,33 @@ def evolve_field(state: FieldState, config: EvolutionConfig, potential=None):
 
 
 def _evolve_exact(state: FieldState, config: EvolutionConfig):
+    """Level m is psi at tau = m dt.  Each level is computed once and handed
+    out as one array, so at stride 1 the t -+ dt levels of a window are the
+    centres of its neighbours, as in the stepper."""
     grid = state.grid
     wp, wm = conservative_mode_frequencies(grid.wavenumbers)
     ph = np.fft.fft(state.psi.values)
     dh = np.fft.fft(state.dpsi_dt.values)
     a_plus = (1j * dh - wm * ph) / (wp - wm)
     a_minus = ph - a_plus
-    stride = config.snapshot_stride
 
-    def spectra_at(tau: float) -> tuple[np.ndarray, np.ndarray]:
-        ep = np.exp(-1j * wp * tau)
-        em = np.exp(-1j * wm * tau)
-        return a_plus * ep + a_minus * em, -1j * (wp * a_plus * ep + wm * a_minus * em)
+    def phases(m: int) -> tuple[np.ndarray, np.ndarray]:
+        tau = m * config.dt
+        return np.exp(-1j * wp * tau), np.exp(-1j * wm * tau)
 
-    for j in range(config.steps // stride + 1):
-        tau = j * stride * config.dt
-        psh, dsh = spectra_at(tau)
-        centre = FieldState(ComplexField(grid, np.fft.ifft(psh)),
-                            ComplexField(grid, np.fft.ifft(dsh)), state.t + tau)
-        # only psi is needed at the +-dt levels
-        yield (centre, np.fft.ifft(spectra_at(tau - config.dt)[0]),
-               np.fft.ifft(spectra_at(tau + config.dt)[0]))
+    def level(ep: np.ndarray, em: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(a_plus * ep + a_minus * em)
+
+    stride, cur = config.snapshot_stride, None
+    for m in range(0, config.steps + 1, stride):
+        ep, em = phases(m)
+        if stride > 1 or cur is None:
+            prev, cur = level(*phases(m - 1)), level(ep, em)
+        nxt = level(*phases(m + 1))
+        dpsi = np.fft.ifft(-1j * (wp * a_plus * ep + wm * a_minus * em))
+        yield (FieldState(ComplexField(grid, cur), ComplexField(grid, dpsi),
+                          state.t + m * config.dt), prev, nxt)
+        prev, cur = cur, nxt
 
 
 def _evolve_stepper(state: FieldState, config: EvolutionConfig, u):
@@ -359,13 +365,19 @@ def evolve_density(params: ModelParams, init: DensityModeState, t: float | np.nd
     coef = np.array([p.coefficients for p in polys])
     comp = np.tile(np.eye(4, k=1, dtype=np.complex128), (len(polys), 1, 1))
     comp[:, 3] = -coef[:, :4] * np.array([1.0, -1j, -1.0, 1j]) / coef[:, 4:]
+    # balance by the exact similarity D = diag(1, r, r^2, r^3), r a power of two near k:
+    # the last row grows like k^4, the eigenvalues like k, and _expm squares by the norm
+    d = np.exp2(np.round(np.log2(np.maximum(1.0, init.k))))[:, None] ** np.arange(4)
+    comp = comp * d[:, None, :] / d[:, :, None]
     ts = np.atleast_1d(times)
-    out = (_expm(ts[:, None, None, None] * comp) @ init.derivs[..., None])[..., 0]
+    out = (_expm(ts[:, None, None, None] * comp) @ (init.derivs / d)[..., None])[..., 0] * d
     out[ts == 0] = init.derivs
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError(f"density modes overflowed during evolution by t={ts.max()} "
                                     f"(model {params.model.value}); growing characteristic roots")
-    states = [DensityModeState(init.k.copy(), o, init.t + float(tt)) for tt, o in zip(ts, out)]
+    states = [object.__new__(DensityModeState) for _ in ts]  # checked: skip __post_init__
+    for st, tt, o in zip(states, ts, out):
+        st.__dict__.update(k=init.k.copy(), derivs=o, t=init.t + float(tt))
     return states if times.ndim else states[0]
 
 

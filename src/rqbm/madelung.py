@@ -9,7 +9,8 @@ The phase S is dimensionless (units of hbar = 1).
 
 Time derivatives always come from three stored field levels (central
 differences), never from the equation of motion, so the residuals are
-genuine independent checks of a trajectory.
+genuine independent checks of a trajectory.  Spatial derivatives are taken
+of the periodic psi, never of the unwrapped S, which need not be periodic.
 
 Phase handling near density nodes is ill-conditioned: points with
 rho < FLOOR are excluded from residual norms (the excluded fraction is
@@ -125,18 +126,9 @@ def quantum_potential(grid: Grid1D, rho_levels, dt: float) -> np.ndarray:
 
 
 def quantum_potential_static(grid: Grid1D, rho) -> np.ndarray:
-    """Static variant: the time term is taken as identically zero."""
-    r = np.asarray(rho, dtype=float)
-    if r.shape != (grid.n,):
-        raise InputError("rho does not match the grid size")
-    if np.any(r < 0):
-        raise InputError("rho must be non-negative")
-    a = np.sqrt(r)
-    axx = grid.deriv(a, 2).real
-    valid = r > FLOOR
-    q = np.full(grid.n, np.nan)
-    q[valid] = -0.5 * axx[valid] / a[valid]
-    return q
+    """Static variant: the time term is taken as identically zero (three
+    equal levels make it exactly zero)."""
+    return quantum_potential(grid, (rho, rho, rho), 1.0)
 
 
 @dataclass(frozen=True)
@@ -148,6 +140,8 @@ class Diagnostics:
     N_mod: float
     t: float
     excluded_fraction: float
+    #: the quantum potential of the centre level, which the HJ residual uses
+    Q: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 class ChargeSet(NamedTuple):
@@ -181,21 +175,6 @@ def conserved_charges(history) -> ChargeSet:
     return ChargeSet(N=n, N_mod=n + e, E=e)
 
 
-def _phase_gradients(grid: Grid1D, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral (grad S, lap S) for a phase that may wind around the box.
-
-    An unwrapped phase of winding number m jumps by 2 pi m across the
-    periodic seam; differentiating it directly poisons the whole domain with
-    Gibbs oscillations.  The winding is estimated from the end-to-end
-    increment, peeled off as an exact linear ramp, and restored analytically.
-    """
-    n = grid.n
-    m = round(float(s[-1] - s[0]) * n / (n - 1) / (2.0 * np.pi))
-    ramp_k = 2.0 * np.pi * m / grid.length
-    per = s - ramp_k * grid.x
-    return ramp_k + grid.deriv(per, 1).real, grid.deriv(per, 2).real
-
-
 def _rhs(params: ModelParams, s1, st, stt, sxx):
     m = params.model
     if m is Model.CONSERVATIVE:
@@ -210,12 +189,15 @@ def _rhs(params: ModelParams, s1, st, stt, sxx):
 
 
 def residuals(history, params: ModelParams, potential=None) -> Diagnostics:
-    """Continuity and Hamilton-Jacobi residuals (RMS over valid points) plus
-    the conserved charges, all at the center level of a three-level history.
+    """Continuity and Hamilton-Jacobi residuals (rho-weighted RMS over valid
+    points) plus the conserved charges, all at the center level of a
+    three-level history.
 
     continuity: d_t rho - [d_t rho * d_t S + rho d2_t S - div(rho grad S)]
     HJ:         d_t S - [(d_t S)^2 - (grad S)^2]/2 + U + Q - RHS(model)
     with RHS = 0, -gamma S, tau d2_t S, D lap S, or -D (d2_t - lap) S.
+    Space derivatives are of the center psi: grad S = Im(psi_x/psi), rho grad
+    S = Im(conj(psi) psi_x), lap S = Im(psi_xx/psi) - 2 Re(psi_x/psi) grad S.
     """
     f0, f1, f2, dt = _check_history(history)
     grid = f1.grid
@@ -228,8 +210,15 @@ def residuals(history, params: ModelParams, potential=None) -> Diagnostics:
     rt = (f2.rho - f0.rho) / (2.0 * dt)
     st = (f2.S - f0.S) / (2.0 * dt)
     stt = (f2.S - 2.0 * f1.S + f0.S) / (dt * dt)
-    sx, sxx = _phase_gradients(grid, f1.S)
-    div = grid.deriv(f1.rho * sx, 1).real
+    psi = reconstruct(f1).values
+    psi_x = grid.deriv(psi, 1)
+    div = grid.deriv((np.conj(psi) * psi_x).imag, 1).real
+    # the quotients are noise where rho is tiny (the rho weights of the norms
+    # keep it out) and not finite only at masked points
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = psi_x / psi
+        sxx = (grid.deriv(psi, 2) / psi).imag - 2.0 * v.real * v.imag
+    sx = v.imag
 
     q = quantum_potential(grid, (f0.rho, f1.rho, f2.rho), dt)
     valid = np.isfinite(q)
@@ -240,9 +229,9 @@ def residuals(history, params: ModelParams, potential=None) -> Diagnostics:
 
     r_cont = rt - (rt * st + f1.rho * stt - div)
     r_hj = st - (st * st - sx * sx) / 2.0 + u + q - _rhs(params, f1.S, st, stt, sxx)
-    # NaNs live only at masked points; keep them out of the norms
-    cont = float(np.sqrt(np.mean(r_cont[valid] ** 2)))
-    hj = float(np.sqrt(np.mean(r_hj[valid] ** 2)))
+    w = f1.rho[valid]
+    cont = float(np.sqrt(np.sum(w * r_cont[valid] ** 2) / np.sum(w)))
+    hj = float(np.sqrt(np.sum(w * r_hj[valid] ** 2) / np.sum(w)))
 
     charges = conserved_charges(history)
     return Diagnostics(
@@ -253,4 +242,5 @@ def residuals(history, params: ModelParams, potential=None) -> Diagnostics:
         N_mod=charges.N_mod,
         t=f1.t,
         excluded_fraction=float(1.0 - valid.mean()),
+        Q=q,
     )

@@ -35,6 +35,17 @@ def expm_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray
     return expm(_mode_system(params, k) * t) @ np.asarray(y0, dtype=np.complex128)
 
 
+def mpmath_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarray:
+    """(rho, rho', rho'', rho''') at time t by a 50-digit mpmath expm of the
+    mode system."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        e = mpmath.expm(mpmath.matrix(_mode_system(params, k).tolist()) * t)
+        y = e * mpmath.matrix([complex(v) for v in y0])
+        return np.array([complex(y[i]) for i in range(4)])
+
+
 def rk4_density_mode(
     params: ModelParams, k: float, y0, t_final: float, dt: float = 0.002
 ) -> np.ndarray:

@@ -251,10 +251,9 @@ STRIDE_1 = ["--n", "256", "--length", "100", "--dt", "0.05"]
 class TestEvolveStream:
     """In-process `rqbm evolve` runs that watch how the windows are consumed."""
 
-    @pytest.mark.parametrize("method,calls", [("stepper", 40 + 2), ("exact-mode", 3 * 40)])
+    @pytest.mark.parametrize("method,calls", [("stepper", 40 + 2), ("exact-mode", 40 + 2)])
     def test_each_shared_level_is_decomposed_once(self, tmp_path, monkeypatch, method, calls):
-        # the stepper shares the levels of neighbouring windows at stride 1;
-        # exact mode computes three fresh levels per window
+        # both methods share the levels of neighbouring windows at stride 1
         counted = []
 
         def decompose_counted(*args, **kwargs):
@@ -271,9 +270,11 @@ class TestEvolveStream:
         state = particle_branch_project(gaussian_packet(grid, 8.0, 0.0))
         prior, rows = None, []
         for s, prev, nxt in evolve_field(state, EvolutionConfig(dt, 30, "stepper")):
-            f0 = decompose(ComplexField(grid, prev), prior_S=prior, t=s.t - dt)
-            f1 = decompose(s.psi, prior_S=f0.S, t=s.t)
-            f2 = decompose(ComplexField(grid, nxt), prior_S=f1.S, t=s.t + dt)
+            # each level carries the time of its snapshot file name
+            t0, t1, t2 = (float(f"{t:.12g}") for t in (s.t - dt, s.t, s.t + dt))
+            f0 = decompose(ComplexField(grid, prev), prior_S=prior, t=t0)
+            f1 = decompose(s.psi, prior_S=f0.S, t=t1)
+            f2 = decompose(ComplexField(grid, nxt), prior_S=f1.S, t=t2)
             prior = f1.S
             d = residuals((f0, f1, f2), ModelParams(Model.CONSERVATIVE))
             rows.append([s.t, d.N, d.N_mod, d.E, d.continuity_residual, d.hj_residual])
@@ -282,7 +283,7 @@ class TestEvolveStream:
         snap = csv_columns(read_csv_lines(tmp_path / "run" / "snap_1.5.csv"))
         np.testing.assert_array_equal(snap["S"], f1.S)
         np.testing.assert_array_equal(snap["Q"], quantum_potential(
-            grid, (f0.rho, f1.rho, f2.rho), dt))
+            grid, (f0.rho, f1.rho, f2.rho), t1 - t0))
 
     @pytest.mark.parametrize("method", ["stepper", "exact-mode"])
     def test_traced_peak_does_not_grow_with_the_run(self, tmp_path, method):
@@ -301,6 +302,28 @@ class TestEvolveStream:
 
 
 class TestMadelungCommand:
+    @pytest.mark.parametrize("method", ["exact-mode", "stepper"])
+    def test_traj_rows_equal_the_madelung_footers(self, tmp_path, method):
+        # both commands take a window's diagnostics the same way, from levels
+        # stamped with the times in the snapshot file names; at dt 0.04,
+        # j dt - dt and (j - 1) dt differ in their last bit at some centres
+        rundir, dt, steps = tmp_path / "run", 0.04, 30
+        evolve_in_process(rundir, "--method", method, "--n", 256, "--length", 100,
+                          "--dt", dt, "--steps", steps)
+        traj = read_csv_lines(rundir / "traj.csv")
+        header = traj[0].split(",")
+        keys = ("N", "N_mod", "E", "continuity_residual", "hj_residual")
+        for j in range(1, steps):
+            snaps = [str(rundir / cli._snap_name((j + i) * dt, "csv")) for i in (-1, 0, 1)]
+            out = tmp_path / "fluid.csv"
+            assert cli.main(["madelung", "--out", str(out), "--snapshots", *snaps]) == 0
+            lines = read_csv_lines(out)
+            row = dict(zip(header, traj[1 + j].split(",")))
+            assert {k: csv_footer(lines)[k] for k in keys} == {k: row[k] for k in keys}, j
+            # and the madelung Q column is the centre snapshot's, bit for bit
+            q = [line.split(",")[-1] for line in lines[1:] if not line.startswith("# ")]
+            assert q == [line.split(",")[-1] for line in read_csv_lines(snaps[1])[1:]], j
+
     def test_round_trip_from_evolve_output(self, tmp_path):
         rundir = tmp_path / "run"
         assert run("evolve", "--out", rundir, "--dt", "0.01", "--steps", "2").returncode == 0

@@ -30,7 +30,12 @@ from rqbm.units import (
     radiative,
 )
 
-from _oracles import expm_density_mode, point_space_stepper, rk4_density_mode
+from _oracles import (
+    expm_density_mode,
+    mpmath_density_mode,
+    point_space_stepper,
+    rk4_density_mode,
+)
 
 
 class TestModeFrequencies:
@@ -483,6 +488,23 @@ class TestDensityPropagatorBatch:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert rqbm.cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
         assert calls == [(201,)]
+
+
+@pytest.mark.parametrize("params", [
+    collisional(1.0), radiative(1.0), phase_diffusion(1.0), dalembert_diffusion(1.0),
+], ids=lambda p: p.model.value)
+def test_density_is_exact_at_large_k(params):
+    # the companion's last row grows like k^4; unbalanced, its squarings
+    # cost up to 7e-5 of rho at k = 40
+    pytest.importorskip("mpmath")
+    y0 = np.array([1.0, 0.0, 0.0, 0.0])
+    for k in (0.1, 1.0, 3.0, 10.0, 40.0):
+        for t in (1.0, 5.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = evolve_density(params, DensityModeState(k=k, derivs=y0), t).rho[0]
+            ref = mpmath_density_mode(params, k, y0, t)[0]
+            assert abs(got - ref) <= 2e-12 * abs(ref), f"k={k}, t={t}"
 
 
 class TestFrequencyFit:

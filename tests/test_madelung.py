@@ -6,9 +6,12 @@ import pytest
 from rqbm.dispersion import build_polynomial, solve_roots
 from rqbm.errors import InputError
 from rqbm.evolve import (
+    EXACT_MODE,
+    STEPPER,
     EvolutionConfig,
     conservative_mode_frequencies,
     evolve_field,
+    gaussian_packet,
     particle_branch_project,
     plane_wave,
 )
@@ -267,6 +270,64 @@ class TestResiduals:
         ]
         with pytest.raises(InputError):
             residuals(hist, conservative())
+
+
+def _packet_window(method: str, dt: float, kbar: float = 0.0):
+    """The three levels at t = 5 of a Gaussian packet (n 1024, length 200,
+    sigma 8), and that time."""
+    g = Grid1D(1024, 200.0)
+    steps = round(5.0 / dt)
+    state = particle_branch_project(gaussian_packet(g, 8.0, kbar))
+    *_, (s, prev, nxt) = evolve_field(state, EvolutionConfig(dt, steps, method, steps))
+    return g, [prev, s.psi.values, nxt], s.t
+
+
+def _window_residuals(g: Grid1D, levels, t: float, dt: float):
+    hist, prior = [], None
+    for level, tt in zip(levels, (t - dt, t, t + dt)):
+        hist.append(decompose(ComplexField(g, level), prior_S=prior, t=tt))
+        prior = hist[-1].S
+    return residuals(hist, conservative())
+
+
+class TestResidualsMeasureTheMethod:
+    """The residuals of a real run read the O(dt^2) error of the three-level
+    check, not round-off."""
+
+    @pytest.mark.parametrize("method", [EXACT_MODE, STEPPER])
+    def test_residuals_fall_as_the_step_halves(self, method):
+        dts = (0.04, 0.02, 0.01)
+        d = [_window_residuals(*_packet_window(method, dt), dt) for dt in dts]
+        hj = [x.hj_residual for x in d]
+        cont = [x.continuity_residual for x in d]
+        assert hj[0] >= 3.0 * hj[1] and hj[1] >= 3.0 * hj[2], hj
+        assert cont[0] >= 3.0 * cont[1], cont
+        if method == EXACT_MODE:
+            assert cont[1] >= 3.0 * cont[2], cont
+        else:
+            # the stepper's continuity residual, 4x below exact mode's at
+            # dt 0.04, meets the eps/dt^2 round-off floor of its second time
+            # difference of S at dt 0.01 (3e-14)
+            assert cont[2] < cont[1] and cont[2] < 1e-13, cont
+
+    def test_a_perturbed_level_stands_out(self):
+        dt = 0.04
+        g, levels, t = _packet_window(EXACT_MODE, dt)
+        clean = _window_residuals(g, levels, t, dt)
+        for i in range(3):
+            for factor in (1.0 + 1e-6, np.exp(1e-6j)):
+                planted = list(levels)
+                planted[i] = planted[i] * factor
+                d = _window_residuals(g, planted, t, dt)
+                lift = max(d.continuity_residual / clean.continuity_residual,
+                           d.hj_residual / clean.hj_residual)
+                assert lift >= 100.0, (i, factor, lift)
+
+    def test_a_drifting_packet_needs_no_grid_mode(self):
+        # kbar 0.3 winds 200 * 0.3 / (2 pi) = 9.55 times across the box
+        dt = 0.02
+        d = _window_residuals(*_packet_window(EXACT_MODE, dt, kbar=0.3), dt)
+        assert d.hj_residual < 1e-8 and d.continuity_residual < 1e-8
 
 
 class TestModelIdentification:
