@@ -200,7 +200,8 @@ def evolve_field(state: FieldState, config: EvolutionConfig, potential=None):
 def _evolve_exact(state: FieldState, config: EvolutionConfig):
     """Level m is psi at tau = m dt.  Each level is computed once and handed
     out as one array, so at stride 1 the t -+ dt levels of a window are the
-    centres of its neighbours, as in the stepper."""
+    centres of its neighbours, as in the stepper, and a window computes only
+    the phase factors of its t + dt level."""
     grid = state.grid
     wp, wm = conservative_mode_frequencies(grid.wavenumbers)
     ph = np.fft.fft(state.psi.values)
@@ -217,10 +218,13 @@ def _evolve_exact(state: FieldState, config: EvolutionConfig):
 
     stride, cur = config.snapshot_stride, None
     for m in range(0, config.steps + 1, stride):
-        ep, em = phases(m)
         if stride > 1 or cur is None:
+            ep, em = phases(m)
             prev, cur = level(*phases(m - 1)), level(ep, em)
-        nxt = level(*phases(m + 1))
+        else:
+            ep, em = ahead  # the last window's phases(m + 1): the same integer m
+        ahead = phases(m + 1)
+        nxt = level(*ahead)
         dpsi = np.fft.ifft(-1j * (wp * a_plus * ep + wm * a_minus * em))
         yield (FieldState(ComplexField(grid, cur), ComplexField(grid, dpsi),
                           state.t + m * config.dt), prev, nxt)

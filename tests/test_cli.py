@@ -160,6 +160,14 @@ class TestDispersionCommand:
         assert len(res) == 20 and max(map(max, res)) <= 1e-10
 
 
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestEvolveCommand:
     def test_gaussian_run_writes_snapshots_and_charges(self, tmp_path):
         out = tmp_path / "run"
@@ -224,6 +232,7 @@ class TestEvolveCommand:
         assert r.returncode == 3
         assert "numerical failure" in r.stderr
 
+    @pytest.mark.usefixtures("no_child_left")
     def test_diverging_run_is_numerical_failure(self, tmp_path):
         # |psi| grows without bound; by t = 1.4 the residual norms of a
         # window overflow, and the run stops there with one line and no
@@ -239,6 +248,18 @@ class TestEvolveCommand:
         assert not list(out.glob("traj.*"))
         # the snapshots written before the failing window stay on disk
         assert list(out.glob("snap_*.csv"))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--density", "--model", "collisional", "--gamma", "1"],
+         "model collisional has growing modes at k=0.1 (Im omega < 0); the run may diverge"),
+        (["--sigma", "20", "--length", "100", "--steps", "2"],
+         "packet sigma=20.0 has under 6 sigma of clearance in a box of length 100.0; "
+         "wrap-around will contaminate the tails"),
+    ], ids=["growing-modes", "packet-clearance"])
+    def test_warning_is_one_line_in_the_cli_voice(self, tmp_path, argv, message):
+        r = run("evolve", "--out", tmp_path / "run", *argv)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == f"rqbm: warning: {message}\n"
 
 
 def evolve_in_process(out, *argv) -> None:
@@ -299,6 +320,79 @@ class TestEvolveStream:
         peak(5)  # first-call allocations that later runs reuse
         short, long = peak(25), peak(200)
         assert long <= 1.5 * short, (short, long)
+
+
+DIVERGING = ["--method", "stepper", "--potential", "harmonic", "--omega0", "10",
+             "--steps", "400", *STRIDE_1]
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestSnapshotWriter:
+    """A field run forks one child, which writes every other snapshot file."""
+
+    @staticmethod
+    def evolve(out, capsys, *argv):
+        """Exit code, stderr and {name: bytes} of one in-process `rqbm evolve`."""
+        rc = cli.main(["evolve", "--out", str(out), *map(str, argv)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return rc, capsys.readouterr().err, files
+
+    @pytest.mark.parametrize("argv", [["--method", "exact-mode", "--format", "csv"],
+                                      ["--method", "stepper", "--format", "json"]])
+    def test_forked_run_writes_the_bytes_of_a_serial_run(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        forked = self.evolve(tmp_path / "forked", capsys, "--steps", 30, *STRIDE_1, *argv)
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        serial = self.evolve(tmp_path / "serial", capsys, "--steps", 30, *STRIDE_1, *argv)
+        assert forked[:2] == (0, "") and len(forked[2]) == 31 + 1
+        assert forked == serial
+
+    # the child writes t = 0, 2 dt, 4 dt, ...; this process t = dt, 3 dt, ...
+    @pytest.mark.parametrize("failing", ["snap_0.1.csv", "snap_0.05.csv"],
+                             ids=["child", "parent"])
+    def test_failed_write_is_one_line_and_no_traj(self, tmp_path, capsys, monkeypatch,
+                                                  failing):
+        write = cli._write_table
+
+        def write_or_fail(path, *args, **kwargs):
+            if os.path.basename(path) == failing:
+                raise OSError(f"no space left for {failing}")
+            write(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_table", write_or_fail)
+        rc, err, files = self.evolve(tmp_path / "run", capsys, "--steps", 30, *STRIDE_1)
+        assert rc == 3
+        assert err == f"rqbm: unexpected failure: OSError: no space left for {failing}\n"
+        assert "snap_0.csv" in files
+        assert failing not in files and "traj.csv" not in files
+
+    def test_diverging_run_leaves_the_files_of_a_serial_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        forked = self.evolve(tmp_path / "forked", capsys, *DIVERGING)
+        monkeypatch.delattr(os, "fork")
+        serial = self.evolve(tmp_path / "serial", capsys, *DIVERGING)
+        assert forked[0] == 3 and "snap_0.csv" in forked[2]
+        assert not [name for name in forked[2] if name.startswith("traj")]
+        assert forked == serial
+
+    def test_interrupted_run_reaps_its_child(self, tmp_path, monkeypatch):
+        window = cli._window
+
+        def window_or_interrupt(grid, levels, times, *args, **kwargs):
+            if times[1] == 0.5:
+                raise KeyboardInterrupt
+            return window(grid, levels, times, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_window", window_or_interrupt)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["evolve", "--out", str(out), "--steps", "30", *STRIDE_1])
+        # the files of the ten windows before t = 0.5, from both processes
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            cli._snap_name(m * 0.05, "csv") for m in range(10))
 
 
 class TestMadelungCommand:

@@ -185,6 +185,22 @@ class TestExactModeEvolution:
                 after, np.exp(1j * (k * g.x - wp * (s.t + cfg.dt))), atol=1e-12
             )
 
+    def test_stride_1_levels_equal_stride_5_levels_bit_for_bit(self):
+        # at stride 1 a window reuses its neighbour's phase factors; at
+        # stride 5 every level computes its own from the same integer m
+        g = Grid1D(128, 60.0)
+        state = particle_branch_project(gaussian_packet(g, sigma=4.0, kbar=0.5))
+        every = list(evolve_field(state, EvolutionConfig(dt=0.04, steps=20)))
+        fifth = list(evolve_field(state, EvolutionConfig(dt=0.04, steps=20,
+                                                         snapshot_stride=5)))
+        assert len(fifth) == 5
+        for (s, before, after), (s1, before1, after1) in zip(fifth, every[::5]):
+            assert s.t == s1.t
+            np.testing.assert_array_equal(s.psi.values, s1.psi.values)
+            np.testing.assert_array_equal(s.dpsi_dt.values, s1.dpsi_dt.values)
+            np.testing.assert_array_equal(before, before1)
+            np.testing.assert_array_equal(after, after1)
+
     def test_rejects_nonzero_potential(self):
         g = Grid1D(32, 10.0)
         state = particle_branch_project(gaussian_packet(g, sigma=0.8, kbar=0.0))
