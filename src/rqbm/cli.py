@@ -24,6 +24,10 @@ import tempfile
 import warnings
 from dataclasses import replace
 
+# rqbm's BLAS calls are 4x4 stacks and one tridiagonal solve: a second OpenBLAS
+# thread only spins on the other core.  Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -146,11 +150,13 @@ class _SnapshotWriter:
     serial run writes it.  A failure in the child comes back up a second
     pipe as the pickled exception and is raised here.
 
-    Fork, not spawn: this process runs no Python thread, only OpenBLAS's
-    native worker, and the child runs only pure-Python formatting and file
-    writes, with no BLAS or FFT call and no logging.  A spawned worker would
-    pay a second interpreter start and numpy import, about 0.15 s of CPU per
-    run.  The child leaves only through `os._exit`, never into the caller.
+    Fork, not spawn: this process runs a single thread (no Python thread,
+    and no OpenBLAS worker unless the user's OPENBLAS_NUM_THREADS asks for
+    one; see the top of this module), and the child runs only pure-Python
+    formatting and file writes, with no BLAS or FFT call and no logging.  A
+    spawned worker would pay a second interpreter start and numpy import,
+    about 0.15 s of CPU per run.  The child leaves only through `os._exit`,
+    never into the caller.
     """
 
     def __init__(self):

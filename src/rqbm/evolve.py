@@ -77,15 +77,20 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise InputError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+        if (
+            not isinstance(self.steps, (int, np.integer))
+            or isinstance(self.steps, bool)
+            or self.steps < 1
+        ):
             raise InputError(f"steps must be a positive integer, got {self.steps!r}")
         if self.method not in (EXACT_MODE, STEPPER):
             raise InputError(
                 f"method must be '{EXACT_MODE}' or '{STEPPER}', got {self.method!r}"
             )
-        if not (
-            isinstance(self.snapshot_stride, (int, np.integer))
-            and self.snapshot_stride >= 1
+        if (
+            not isinstance(self.snapshot_stride, (int, np.integer))
+            or isinstance(self.snapshot_stride, bool)
+            or self.snapshot_stride < 1
         ):
             raise InputError(f"snapshot_stride must be >= 1, got {self.snapshot_stride!r}")
         if self.steps % self.snapshot_stride != 0:

@@ -95,7 +95,7 @@ def _dirichlet_eigen(u: np.ndarray, h: float, count: int) -> np.ndarray:
 
 def nonrel_eigen(potential: PotentialSpec, grid: Grid1D, count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of -lap/2 + U, ascending."""
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
         raise InputError(f"count must be a positive integer, got {count!r}")
     if count > grid.n // 4:
         raise InputError(

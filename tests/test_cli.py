@@ -541,6 +541,75 @@ class TestTopLevel:
         assert r.stdout.strip() == "False"
 
 
+def env_with_blas_threads(threads):
+    """This environment with OPENBLAS_NUM_THREADS set to `threads`, or unset
+    for None (importing rqbm.cli above has set it in this process)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+class TestBlasThreads:
+    def run_code(self, code, threads):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env_with_blas_threads(threads))
+        assert r.returncode == 0, r.stderr
+        return r.stdout.split()
+
+    def spectrum_code(self, tmp_path):
+        # the harmonic levels call scipy's eigensolver, so scipy's OpenBLAS loads too
+        argv = ["spectrum", "--potential", "harmonic", "--omega0", "1", "--n", "256",
+                "--out", str(tmp_path / "levels.csv")]
+        return (
+            "import os, sys\n"
+            "from rqbm import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+
+    def test_cli_process_runs_one_thread(self, tmp_path):
+        assert self.run_code(self.spectrum_code(tmp_path), None) == ["1", "1"]
+
+    def test_user_setting_is_kept(self, tmp_path):
+        assert self.run_code(self.spectrum_code(tmp_path), "2")[1] == "2"
+
+    def test_compute_modules_leave_the_environment_alone(self):
+        code = (
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import rqbm.dispersion, rqbm.evolve, rqbm.grid, rqbm.madelung, rqbm.spectrum\n"
+            "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        )
+        assert self.run_code(code, None) == ["True", "False"]
+
+
+def test_blas_thread_count_does_not_move_bytes(tmp_path):
+    runs = [
+        ["dispersion", "--model", "collisional", "--gamma", "1", "--k-steps", "200",
+         "--out", "sweep.csv"],
+        ["evolve", "--density", "--model", "collisional", "--gamma", "1", "--k", "0.3",
+         "--out", "density"],
+        ["spectrum", "--potential", "harmonic", "--omega0", "1", "--n", "2048",
+         "--out", "levels.csv"],
+    ]
+    trees = []
+    for threads in (None, "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        for argv in runs:
+            r = subprocess.run([sys.executable, "-m", "rqbm", *argv], cwd=out,
+                               capture_output=True, text=True,
+                               env=env_with_blas_threads(threads))
+            assert r.returncode == 0, r.stderr
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) >= 3
+    assert trees[0] == trees[1]
+
+
 DISPERSION_CONFIG = "model: collisional\ngamma: 1.0\n"
 CONFIG_ERRORS = [
     ("dispersion", DISPERSION_CONFIG + "k-steps: true\n",

@@ -90,6 +90,8 @@ class TestStatesAndConfig:
             dict(dt=0.1, steps=10, method="rk4"),
             dict(dt=0.1, steps=10, snapshot_stride=0),
             dict(dt=0.1, steps=10, snapshot_stride=3),
+            dict(dt=0.1, steps=True),  # a bool is not an integer here, as in Grid1D
+            dict(dt=0.1, steps=2, snapshot_stride=True),
         ],
     )
     def test_config_rejects_bad_values(self, kwargs):

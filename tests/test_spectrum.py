@@ -132,6 +132,8 @@ class TestNonrelEigen:
             nonrel_eigen(Free(), g, 2.5)
         with pytest.raises(InputError):
             nonrel_eigen(Free(), g, 17)  # > n/4
+        with pytest.raises(InputError):
+            nonrel_eigen(Free(), g, True)  # True == 1 would return one level
         assert len(nonrel_eigen(Free(), g, 16)) == 16
 
 
