@@ -492,7 +492,7 @@ def _run_evolve(cfg: dict) -> int:
     if cfg["potential"] == "harmonic":
         if cfg["omega0"] is None:
             raise InputError("--potential harmonic requires --omega0")
-        potential = 0.5 * cfg["omega0"]**2 * grid.x**2
+        potential = Harmonic(cfg["omega0"]).on(grid.x)
 
     state = particle_branch_project(psi)
     # the equation is linear, so a zero field stays exactly zero
@@ -560,10 +560,12 @@ def _read_snapshot(path: str) -> tuple[np.ndarray, np.ndarray, float]:
             psi = np.asarray(data["re_psi"]) + 1j * np.asarray(data["im_psi"])
     except OSError as exc:
         raise InputError(f"cannot read snapshot {path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"snapshot {path} is malformed: {exc}") from exc
     if x.ndim != 1 or len(x) < 8:
         raise InputError(f"snapshot {path} holds too few points")
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"snapshot {path} is malformed: x is not finite")
     return x, psi, t
 
 

@@ -37,6 +37,18 @@ class Harmonic:
         if not (np.isfinite(self.omega0) and self.omega0 > 0):
             raise InputError(f"omega0 must be positive and finite, got {self.omega0!r}")
 
+    def on(self, x: np.ndarray) -> np.ndarray:
+        """U = omega0^2 x^2 / 2 at the points x; an InputError where it overflows."""
+        try:
+            with np.errstate(over="ignore"):
+                u = 0.5 * self.omega0**2 * x**2
+            if np.all(np.isfinite(u)):
+                return u
+        except OverflowError:  # omega0**2 of a Python float
+            pass
+        raise InputError(f"omega0 = {self.omega0!r} overflows the harmonic potential "
+                         "omega0^2 x^2 / 2 on this grid")
+
 
 @dataclass(frozen=True)
 class Box:
@@ -105,8 +117,7 @@ def nonrel_eigen(potential: PotentialSpec, grid: Grid1D, count: int) -> np.ndarr
         eps = np.sort(grid.wavenumbers**2) / 2.0
         return eps[:count]
     if isinstance(potential, Harmonic):
-        u = 0.5 * potential.omega0**2 * grid.x**2
-        return _dirichlet_eigen(u, grid.dx, count)
+        return _dirichlet_eigen(potential.on(grid.x), grid.dx, count)
     if isinstance(potential, Box):
         # the well supplies its own interior mesh; grid.n sets the resolution
         h = potential.width / (grid.n + 1)

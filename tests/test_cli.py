@@ -466,6 +466,22 @@ class TestMadelungCommand:
         for name in ("x", "rho", "S", "Q"):
             assert cols_csv[name] == cols_json[name], name
 
+    @pytest.mark.parametrize("fault", ["null-cell", "null-x", "list-document"])
+    def test_malformed_json_snapshot_is_input_error(self, tmp_path, fault):
+        rows = [{"x": float(x), "re_psi": 1.0, "im_psi": 0.0} for x in range(16)]
+        snaps = [tmp_path / f"snap_{t}.json" for t in ("0", "0.01", "0.02")]
+        for path in snaps:
+            path.write_text(json.dumps({"rows": rows}))
+        if fault.startswith("null-"):
+            key = "x" if fault == "null-x" else "re_psi"
+            bad = {"rows": rows[:3] + [dict(rows[3], **{key: None})] + rows[4:]}
+        else:
+            bad = rows
+        snaps[1].write_text(json.dumps(bad))
+        r = run("madelung", "--out", tmp_path / "fluid.json", "--snapshots", *snaps)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith(f"rqbm: input error: snapshot {snaps[1]} is malformed: ")
+
     def test_inconsistent_snapshot_times_rejected(self, tmp_path):
         rundir = tmp_path / "run"
         assert run("evolve", "--out", rundir, "--dt", "0.01", "--steps", "4",
@@ -495,6 +511,16 @@ class TestSpectrumCommand:
         r = run("spectrum", "--potential", "harmonic", "--out", tmp_path / "x.csv")
         assert r.returncode == 2
         assert "--omega0" in r.stderr
+
+    @pytest.mark.parametrize("command", ["spectrum", "evolve"])
+    @pytest.mark.parametrize("omega0", ["1e200", "1e152"])
+    def test_overflowing_harmonic_potential_is_input_error(self, tmp_path, command, omega0):
+        # 1e200 overflows omega0**2, 1e152 only its product with x^2 near the walls
+        r = run(command, "--potential", "harmonic", "--omega0", omega0, "--n", "256",
+                "--length", "1e6", "--out", tmp_path / "out")
+        assert r.returncode == 2
+        assert r.stderr == (f"rqbm: input error: omega0 = {float(omega0)!r} overflows the "
+                            "harmonic potential omega0^2 x^2 / 2 on this grid\n")
 
     def test_closed_form_levels_need_no_scipy(self, tmp_path):
         # a None entry in sys.modules makes every `import scipy...` fail
@@ -539,6 +565,88 @@ class TestTopLevel:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
+
+
+def buffered_env(**extra):
+    """This environment with Python's stdout block-buffered, as it is by default
+    when not a terminal, so that output left unflushed at exit would be lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "COLUMNS": "80", **extra}
+
+
+class TestProcessEntry:
+    """`python -m rqbm` runs `cli.main` and then ends through `os._exit`."""
+
+    def run_to_file(self, tmp_path, *argv, **env_extra):
+        out = tmp_path / "stdout.txt"
+        with open(out, "w") as f:
+            r = subprocess.run([sys.executable, "-m", "rqbm", *map(str, argv)], stdout=f,
+                               stderr=subprocess.PIPE, text=True, env=buffered_env(**env_extra))
+        return r, out.read_text()
+
+    def test_help_and_version_reach_a_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        r, text = self.run_to_file(tmp_path, "--help")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert text == cli.build_parser().format_help()
+        r, text = self.run_to_file(tmp_path, "--version")
+        assert (r.returncode, r.stderr, text) == (0, "", "rqbm 0.1.0\n")
+
+    def test_run_log_keeps_its_last_line(self, tmp_path):
+        out = tmp_path / "box.csv"
+        r, _ = self.run_to_file(tmp_path, "spectrum", "--potential", "box", "--width", "10",
+                                "--n", "4096", "--levels", "8", "--out", out, RQBM_LOG="INFO")
+        assert r.returncode == 0
+        assert r.stderr.endswith(f"INFO rqbm.cli: wrote 8 levels to {out}\n")
+
+    def run_both(self, argv, **kwargs):
+        """`python -m rqbm argv`, and the same through `cli.main` and a normal exit."""
+        normal = "import sys; from rqbm import cli; sys.exit(cli.main(sys.argv[1:]))"
+        return [subprocess.run(head + argv, text=True, env=buffered_env(), **kwargs)
+                for head in ([sys.executable, "-m", "rqbm"], [sys.executable, "-c", normal])]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["--no-such-flag"], 2),
+        (["dispersion", "--out", "x.csv"], 2),
+        (["evolve", "--out", "run", "--model", "radiative", "--tau", "100", "--density",
+          "--k", "0.1", "--dt", "1.0", "--steps", "400", "--snapshot-stride", "400"], 3),
+    ])
+    def test_exit_codes_match_a_normal_exit(self, tmp_path, argv, code):
+        entry, normal = self.run_both(argv, cwd=tmp_path, capture_output=True)
+        assert entry.returncode == code
+        assert (entry.returncode, entry.stdout, entry.stderr) == \
+            (normal.returncode, normal.stdout, normal.stderr)
+
+    def test_run_skips_interpreter_teardown(self):
+        code = ("import atexit, sys\n"
+                "atexit.register(print, 'atexit ran')\n"
+                "sys.argv = ['rqbm', '--version']\n"
+                "from rqbm.__main__ import run\n"
+                "run()\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=buffered_env())
+        assert (r.returncode, r.stdout, r.stderr) == (0, "rqbm 0.1.0\n", "")
+
+    def test_closed_stdout_takes_the_normal_exit(self):
+        # the flush fails, so run() returns and the interpreter reports it on exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            entry, normal = self.run_both(["--help"], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert entry.returncode != 0 and "BrokenPipeError" in entry.stderr
+        assert (entry.returncode, entry.stderr) == (normal.returncode, normal.stderr)
+
+    def test_importing_runs_nothing(self):
+        code = ("import gc, sys\n"
+                "import rqbm.__main__\n"
+                "loaded = 'rqbm.cli' in sys.modules\n"
+                "import rqbm.cli\n"
+                "print(loaded, gc.isenabled(), gc.get_freeze_count())\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "False True 0\n", "")
 
 
 def env_with_blas_threads(threads):

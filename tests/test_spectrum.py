@@ -57,6 +57,12 @@ class TestNonrelEigen:
             eps, [0.0, k1**2 / 2, k1**2 / 2, 2 * k1**2, 2 * k1**2], atol=1e-15
         )
 
+    @pytest.mark.parametrize("omega0", [1e200, 1e152])
+    def test_overflowing_harmonic_potential_is_input_error(self, omega0):
+        # 1e200 overflows omega0**2 itself, 1e152 only its product with x^2
+        with pytest.raises(InputError, match="overflows the harmonic potential"):
+            nonrel_eigen(Harmonic(omega0), Grid1D(256, 1e6), 4)
+
     def test_harmonic_matches_analytic_ladder(self):
         g = Grid1D(512, 40.0)
         omega0 = 0.5
