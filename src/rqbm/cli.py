@@ -539,7 +539,7 @@ def _run_evolve(cfg: dict) -> int:
     return 0
 
 
-def _read_snapshot(path: str) -> tuple[np.ndarray, np.ndarray, float]:
+def _read_snapshot(path: str) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None]:
     m = re.search(r"snap_([^/\\]+)\.(csv|json)$", path)
     if not m:
         raise InputError(f"snapshot name {path!r} does not match snap_<t>.csv")
@@ -554,10 +554,12 @@ def _read_snapshot(path: str) -> tuple[np.ndarray, np.ndarray, float]:
             rows = doc["rows"]
             x = np.array([r["x"] for r in rows], dtype=float)
             psi = np.array([complex(r["re_psi"], r["im_psi"]) for r in rows])
+            phase = np.array([r.get("S") for r in rows], dtype=float)
         else:
             data = np.genfromtxt(path, delimiter=",", names=True, comments="#")
             x = np.asarray(data["x"], dtype=float)
             psi = np.asarray(data["re_psi"]) + 1j * np.asarray(data["im_psi"])
+            phase = np.asarray(data["S"], dtype=float) if "S" in data.dtype.names else None
     except OSError as exc:
         raise InputError(f"cannot read snapshot {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -566,7 +568,7 @@ def _read_snapshot(path: str) -> tuple[np.ndarray, np.ndarray, float]:
         raise InputError(f"snapshot {path} holds too few points")
     if not np.all(np.isfinite(x)):
         raise InputError(f"snapshot {path} is malformed: x is not finite")
-    return x, psi, t
+    return x, psi, t, phase
 
 
 MADELUNG = COMMON + _model_rows("conservative") + [
@@ -576,7 +578,7 @@ MADELUNG = COMMON + _model_rows("conservative") + [
 
 def _run_madelung(cfg: dict) -> int:
     params = _model_params(cfg)
-    xs, psis, ts = zip(*(_read_snapshot(p) for p in cfg["snapshots"]))
+    xs, psis, ts, phases = zip(*(_read_snapshot(p) for p in cfg["snapshots"]))
     x = xs[0]
     for other in xs[1:]:
         if len(other) != len(x) or np.max(np.abs(other - x)) > 1e-12 * max(1.0, np.max(np.abs(x))):
@@ -585,7 +587,9 @@ def _run_madelung(cfg: dict) -> int:
     if np.max(np.abs(dxs - dxs[0])) > 1e-9 * abs(dxs[0]):
         raise InputError("snapshot x column is not uniformly spaced")
     grid = Grid1D(len(x), float(len(x) * dxs[0]))
-    fields, diag = _window(grid, psis, ts, params)
+    # the run's own phase branch, so S and the residuals equal what evolve wrote
+    prior = phases[0] if phases[0] is not None and np.all(np.isfinite(phases[0])) else None
+    fields, diag = _window(grid, psis, ts, params, prior=prior)
     f1 = fields[1]
     recon = reconstruct(f1)
     ok = f1.rho > FLOOR

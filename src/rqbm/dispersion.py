@@ -104,24 +104,29 @@ def build_polynomial(params: ModelParams, k: float) -> DispersionPoly:
         raise InputError(f"k must be finite and >= 0, got {k!r}")
     k = float(k)
     c = np.zeros(5, dtype=np.complex128)
-    if params.model is Model.CONSERVATIVE:
-        c[0] = -k * k
-        c[1] = 2.0
-        c[2] = 1.0
-    else:
-        # (1/4)(k^2 - omega^2)^2 - omega^2 expanded in powers of omega
-        c[0] = 0.25 * k**4
-        c[2] = -(1.0 + 0.5 * k * k)
-        c[4] = 0.25
-        if params.model is Model.COLLISIONAL:
-            c[1] += 1j * params.gamma
-        elif params.model is Model.RADIATIVE:
-            c[3] += 1j * params.tau
-        elif params.model is Model.PHASE_DIFFUSION:
-            c[1] += 1j * params.diffusion * k * k
-        elif params.model is Model.DALEMBERT_DIFFUSION:
-            c[1] += 1j * params.diffusion * k * k
-            c[3] += -1j * params.diffusion
+    try:
+        if params.model is Model.CONSERVATIVE:
+            c[0] = -k * k
+            c[1] = 2.0
+            c[2] = 1.0
+        else:
+            # (1/4)(k^2 - omega^2)^2 - omega^2 expanded in powers of omega
+            c[0] = 0.25 * k**4
+            c[2] = -(1.0 + 0.5 * k * k)
+            c[4] = 0.25
+            if params.model is Model.COLLISIONAL:
+                c[1] += 1j * params.gamma
+            elif params.model is Model.RADIATIVE:
+                c[3] += 1j * params.tau
+            elif params.model is Model.PHASE_DIFFUSION:
+                c[1] += 1j * params.diffusion * k * k
+            elif params.model is Model.DALEMBERT_DIFFUSION:
+                c[1] += 1j * params.diffusion * k * k
+                c[3] += -1j * params.diffusion
+    except OverflowError:  # k**4 beyond the float range
+        c[0] = np.inf
+    if not np.isfinite(c).all():
+        raise InputError(f"k = {k!r} overflows the {params.model.value} dispersion polynomial")
     return DispersionPoly(coefficients=c, k=k, model=params)
 
 
@@ -254,23 +259,6 @@ def _polish_multiple(poly: DispersionPoly, w: complex, mult: int, max_move: floa
     return best
 
 
-def _cluster(roots: list[complex], tol: float) -> tuple[list[complex], list[int]]:
-    """Merge roots closer than tol (relative above magnitude 1, so root sets
-    spanning many decades keep their small members distinct); returns
-    (means, multiplicities)."""
-    groups: list[list[complex]] = []
-    for w in roots:
-        for g in groups:
-            m = sum(g) / len(g)
-            if abs(w - m) <= tol * max(1.0, abs(w), abs(m)):
-                g.append(w)
-                break
-        else:
-            groups.append([w])
-    means = [sum(g) / len(g) for g in groups]
-    return means, [len(g) for g in groups]
-
-
 def _certificates(coef: np.ndarray, roots: np.ndarray):
     """Scaled residuals (n, deg) and Vieta sum and product deviations (n,)
     of sorted root rows roots (n, deg) of the polynomials coef (n, 5)."""
@@ -311,87 +299,71 @@ def _raw_roots(poly: DispersionPoly) -> list[complex]:
     elif d == 2:
         found = _quadratic_roots(complex(coef[0]), complex(coef[1]), complex(coef[2]))
     else:
-        found = _newton(poly.coefficients[None], _companion_roots(coef[None]), 3)[0]
-        found = list(map(complex, found))
+        found = list(_newton(poly.coefficients[None], _companion_roots(coef[None]), 3)[0])
     return [0.0 + 0.0j] * zeros + found
 
 
-def _escalate(
-    poly: DispersionPoly,
-    allroots: list[complex],
-    residual_tol: float,
-    degeneracy_tol: float,
-    vieta_tol: float,
-) -> RootSet:
-    """Certify one polynomial's roots, widening the clustering until an
-    interpretation of them passes the residual and Vieta checks."""
+def _mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """total / count rounded as CPython divides a complex by an int, as
+    `sum(cluster) / len(cluster)` did: it keeps the roots of earlier versions."""
+    out = np.empty(total.shape, dtype=np.complex128)
+    out.real = (total.real + total.imag * 0.0) / count
+    out.imag = (total.imag - total.real * 0.0) / count
+    return out
 
-    def polish(m: complex) -> complex:
-        return complex(_newton(poly.coefficients[None], np.array([[m]]), 2)[0, 0])
 
-    def interpret(cluster_tol: float) -> RootSet:
-        means, mults = _cluster(allroots, cluster_tol)
-        # repolish cluster means: simple roots by plain Newton, multiple roots
-        # by Newton on P^(m-1) (the cluster mean alone carries the
-        # eigensolver's O(eps^(1/m)) splitting error, which Vieta rejects)
-        means = [
-            m
-            if m == 0
-            else (
-                polish(m)
-                if mu == 1
-                else _polish_multiple(poly, m, mu, 4.0 * cluster_tol * max(1.0, abs(m)))
-            )
-            for m, mu in zip(means, mults)
-        ]
+def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
+    """Cluster each row of raw roots (n, deg) at width tol, polish the means
+    and certify them: a RootSet per row, and the mask of certified rows.
 
-        order = np.lexsort((np.asarray(means).imag, np.asarray(means).real))
-        unique = np.asarray([means[i] for i in order], dtype=np.complex128)
-        mults_t = tuple(int(mults[i]) for i in order)
-        roots = np.asarray(
-            [u for u, m in zip(unique, mults_t) for _ in range(m)], dtype=np.complex128
-        )
-        residuals, sum_dev, prod_dev = _certificates(poly.coefficients[None], roots[None])
-        return RootSet(
-            roots=roots,
-            residuals=residuals[0],
-            k=poly.k,
-            model=poly.model,
-            unique_roots=unique,
-            multiplicities=mults_t,
-            vieta_sum_dev=float(sum_dev[0]),
-            vieta_prod_dev=float(prod_dev[0]),
-        )
+    Root j joins the first cluster whose mean lies within tol * max(1, |w|,
+    |mean|) (relative above magnitude 1, so root sets spanning many decades
+    keep their small members distinct), or starts the next one.  Simple means
+    take plain Newton, multiple ones Newton on P^(m-1) (the mean alone carries
+    the eigensolver's O(eps^(1/m)) splitting error, which Vieta rejects)."""
+    n, deg = raw.shape
+    rows = np.arange(n)
+    total = np.zeros((n, deg), dtype=np.complex128)
+    count = np.zeros((n, deg), dtype=int)
+    label = np.empty((n, deg), dtype=int)
+    made = np.zeros(n, dtype=int)
+    with np.errstate(invalid="ignore"):  # a non-finite root makes inf * 0
+        for j in range(deg):
+            w = raw[:, j]
+            size = _magnitude(w)
+            lab = made.copy()
+            for c in range(j):
+                m = _mean(total[:, c], count[:, c])
+                lab[(c < lab) & (_magnitude(w - m)
+                                 <= tol * np.fmax(np.fmax(1.0, size), _magnitude(m)))] = c
+            made += lab == made
+            total[rows, lab] += w
+            count[rows, lab] += 1
+            label[:, j] = lab
+        means = _mean(total, count)
+    polished = np.where(means == 0, means, _newton(coef, means, 2))
+    for r, c in zip(*np.nonzero((count > 1) & (means != 0))):
+        m = complex(means[r, c])
+        polished[r, c] = _polish_multiple(polys[r], m, count[r, c], 4.0 * tol * max(1.0, abs(m)))
 
-    def certified(rs: RootSet) -> bool:
-        return bool(
-            np.all(rs.residuals <= residual_tol)
-            and rs.vieta_sum_dev <= vieta_tol
-            and rs.vieta_prod_dev <= vieta_tol
-        )
-
-    # Near an m-fold root the eigensolver error grows like eps^(1/m), which
-    # can exceed the nominal clustering width (e.g. a coalescing pair split
-    # by ~sqrt(eps) reads as two simple roots with irreducible error).  If
-    # the base interpretation fails certification, widen the clustering and
-    # keep the first interpretation that certifies.  The last resort, factor
-    # 0, takes the polished roots unclustered: a genuine pair split by less
-    # than the clustering width (phase diffusion at D = 1 and k ~ 1e-3 splits
-    # by ~1e-9) fails Vieta when merged but certifies as two simple roots.
-    first: RootSet | None = None
-    for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
-        rs = interpret(degeneracy_tol * factor)
-        if first is None:
-            first = rs
-        if certified(rs):
-            return rs
-
-    err = NumericalFailureError(
-        f"root certification failed at k={poly.k}: residuals={first.residuals}, "
-        f"vieta=({first.vieta_sum_dev:.3e}, {first.vieta_prod_dev:.3e})"
-    )
-    err.rootset = first
-    raise err
+    # each root takes its cluster's mean; ties sort in cluster order, as the
+    # sorted distinct means repeated by multiplicity would
+    vals = np.take_along_axis(polished, label, 1)
+    roots = np.take_along_axis(vals, np.lexsort((label, vals.imag, vals.real), axis=-1), 1)
+    residuals, sum_dev, prod_dev = _certificates(coef, roots)
+    ok = (np.all(residuals <= residual_tol, axis=1)
+          & (sum_dev <= vieta_tol) & (prod_dev <= vieta_tol))
+    sets, multiple = [], (count.max(axis=1) > 1).tolist()
+    for r, poly in enumerate(polys):
+        unique, mults = roots[r].copy(), (1,) * deg
+        if multiple[r]:
+            unique, mults = polished[r, :made[r]], count[r, :made[r]]
+            order = np.lexsort((unique.imag, unique.real))
+            unique, mults = unique[order], tuple(map(int, mults[order]))
+        sets.append(RootSet(roots=roots[r], residuals=residuals[r], k=poly.k, model=poly.model,
+                            unique_roots=unique, multiplicities=mults,
+                            vieta_sum_dev=float(sum_dev[r]), vieta_prod_dev=float(prod_dev[r])))
+    return sets, ok
 
 
 def _solve_stack(
@@ -400,54 +372,51 @@ def _solve_stack(
     degeneracy_tol: float = DEGENERACY_TOL,
     vieta_tol: float = VIETA_TOL,
 ) -> list[RootSet]:
-    """`solve_roots` of every polynomial, the quartics with c0 != 0 in one
-    batched pass.
+    """`solve_roots` of every polynomial, one batched pass per degree.
 
-    A batched row is certified here when clustering at the base width leaves
-    its four polished roots single and they pass the residual and Vieta
-    checks: the interpretation `_escalate` would accept first, computed
-    with the same arithmetic.  Every other row goes through `_escalate`.
+    Near an m-fold root the eigensolver error grows like eps^(1/m), which can
+    exceed the nominal clustering width (a coalescing pair split by ~sqrt(eps)
+    reads as two simple roots with irreducible error), so a row that fails
+    certification is clustered again, wider, until it certifies.  The last
+    resort, factor 0, takes the polished roots unclustered: a genuine pair split
+    by less than the clustering width (phase diffusion at D = 1 and k ~ 1e-3
+    splits by ~1e-9) fails Vieta when merged but certifies as two simple roots.
     """
-    for poly in polys:
-        if poly.coefficients[poly.degree] == 0:
-            raise InputError("leading coefficient vanishes")
     sets: list[RootSet | None] = [None] * len(polys)
-    rows = [i for i, p in enumerate(polys) if p.degree == 4 and p.coefficients[0] != 0]
-    if rows:
-        coef = np.array([polys[i].coefficients for i in rows])
-        found = _newton(coef, _companion_roots(coef), 3)
-        # the singleton test of _cluster at the base width, pair by pair
-        single = np.all(found != 0, axis=1)
-        size = _magnitude(found)
-        for a, b in itertools.combinations(range(4), 2):
-            single &= _magnitude(found[:, b] - found[:, a]) > degeneracy_tol * np.maximum(
-                np.maximum(1.0, size[:, b]), size[:, a]
-            )
-        # + 0.0 turns -0.0 parts into +0.0, as a one-root cluster's mean does
-        means = _newton(coef, found + 0.0, 2)
-        roots = np.take_along_axis(means, np.lexsort((means.imag, means.real), axis=-1), 1)
-        residuals, sum_dev, prod_dev = _certificates(coef, roots)
-        ok = (single & np.all(residuals <= residual_tol, axis=1)
-              & (sum_dev <= vieta_tol) & (prod_dev <= vieta_tol))
-        for r, i in enumerate(rows):
-            poly = polys[i]
-            if ok[r]:
-                sets[i] = RootSet(
-                    roots=roots[r],
-                    residuals=residuals[r],
-                    k=poly.k,
-                    model=poly.model,
-                    unique_roots=roots[r].copy(),
-                    multiplicities=(1, 1, 1, 1),
-                    vieta_sum_dev=float(sum_dev[r]),
-                    vieta_prod_dev=float(prod_dev[r]),
-                )
-            else:
-                sets[i] = _escalate(poly, list(map(complex, found[r])),
-                                    residual_tol, degeneracy_tol, vieta_tol)
-    for i, poly in enumerate(polys):
-        if sets[i] is None:
-            sets[i] = _escalate(poly, _raw_roots(poly), residual_tol, degeneracy_tol, vieta_tol)
+    failed = []
+    for deg in (4, 2):
+        group = [i for i, p in enumerate(polys) if p.degree == deg]
+        if not group:
+            continue
+        coef = np.array([polys[i].coefficients for i in group])
+        if np.any(coef[:, deg] == 0):
+            raise InputError("leading coefficient vanishes")
+        raw = np.empty((len(group), deg), dtype=np.complex128)
+        batched = (coef[:, 0] != 0) & (deg == 4)
+        if batched.any():
+            raw[batched] = _newton(coef[batched], _companion_roots(coef[batched]), 3)
+        for r in np.flatnonzero(~batched):
+            raw[r] = _raw_roots(polys[group[r]])
+        live = np.arange(len(group))
+        for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
+            got, ok = _interpret([polys[group[r]] for r in live.tolist()], coef[live], raw[live],
+                                 degeneracy_tol * factor, residual_tol, vieta_tol)
+            # a row that never certifies keeps its base interpretation for the error
+            for r, rs, good in zip(live.tolist(), got, ok.tolist()):
+                if good or factor == 1.0:
+                    sets[group[r]] = rs
+            live = live[~ok]
+            if not len(live):
+                break
+        failed += [group[r] for r in live.tolist()]
+    if failed:
+        first = sets[min(failed)]
+        err = NumericalFailureError(
+            f"root certification failed at k={first.k}: residuals={first.residuals}, "
+            f"vieta=({first.vieta_sum_dev:.3e}, {first.vieta_prod_dev:.3e})"
+        )
+        err.rootset = first
+        raise err
     return sets
 
 

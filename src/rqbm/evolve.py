@@ -379,7 +379,8 @@ def evolve_density(params: ModelParams, init: DensityModeState, t: float | np.nd
     d = np.exp2(np.round(np.log2(np.maximum(1.0, init.k))))[:, None] ** np.arange(4)
     comp = comp * d[:, None, :] / d[:, :, None]
     ts = np.atleast_1d(times)
-    out = (_expm(ts[:, None, None, None] * comp) @ (init.derivs / d)[..., None])[..., 0] * d
+    with np.errstate(over="ignore", invalid="ignore"):  # growing modes overflow: checked below
+        out = (_expm(ts[:, None, None, None] * comp) @ (init.derivs / d)[..., None])[..., 0] * d
     out[ts == 0] = init.derivs
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError(f"density modes overflowed during evolution by t={ts.max()} "

@@ -85,6 +85,8 @@ def box_levels(width: float, count: int) -> np.ndarray:
 
 
 def _dirichlet_eigen(u: np.ndarray, h: float, count: int) -> np.ndarray:
+    if h * h == 0.0:
+        raise InputError(f"mesh spacing {h!r} is too fine: its square underflows to 0")
     if not np.any(u):
         # with U = 0 the discrete sine modes are exact eigenvectors of the
         # 3-point operator, so its levels are closed form

@@ -230,7 +230,13 @@ class TestEvolveCommand:
                 "--tau", "100", "--density", "--k", "0.1",
                 "--dt", "1.0", "--steps", "400", "--snapshot-stride", "400")
         assert r.returncode == 3
-        assert "numerical failure" in r.stderr
+        # the overflow itself prints no numpy warning
+        assert r.stderr.splitlines() == [
+            "rqbm: warning: model radiative has growing modes at k=0.1 (Im omega < 0); "
+            "the run may diverge",
+            "rqbm: numerical failure: density modes overflowed during evolution by t=400.0 "
+            "(model radiative); growing characteristic roots",
+        ]
 
     @pytest.mark.usefixtures("no_child_left")
     def test_diverging_run_is_numerical_failure(self, tmp_path):
@@ -396,18 +402,24 @@ class TestSnapshotWriter:
 
 
 class TestMadelungCommand:
-    @pytest.mark.parametrize("method", ["exact-mode", "stepper"])
-    def test_traj_rows_equal_the_madelung_footers(self, tmp_path, method):
+    @pytest.mark.parametrize("method,steps,every,extra", [
+        ("exact-mode", 30, 1, ()),
+        ("stepper", 30, 1, ()),
+        # the packet's S drifts by 2 pi over this run, and from centre 274 on
+        # a decomposition without the run's phase lands on another branch
+        ("exact-mode", 300, 7, ("--kbar", 1)),
+    ], ids=["exact-mode", "stepper", "exact-mode-kbar-1"])
+    def test_traj_rows_equal_the_madelung_footers(self, tmp_path, method, steps, every, extra):
         # both commands take a window's diagnostics the same way, from levels
         # stamped with the times in the snapshot file names; at dt 0.04,
         # j dt - dt and (j - 1) dt differ in their last bit at some centres
-        rundir, dt, steps = tmp_path / "run", 0.04, 30
+        rundir, dt = tmp_path / "run", 0.04
         evolve_in_process(rundir, "--method", method, "--n", 256, "--length", 100,
-                          "--dt", dt, "--steps", steps)
+                          "--dt", dt, "--steps", steps, *extra)
         traj = read_csv_lines(rundir / "traj.csv")
         header = traj[0].split(",")
         keys = ("N", "N_mod", "E", "continuity_residual", "hj_residual")
-        for j in range(1, steps):
+        for j in range(1, steps, every):
             snaps = [str(rundir / cli._snap_name((j + i) * dt, "csv")) for i in (-1, 0, 1)]
             out = tmp_path / "fluid.csv"
             assert cli.main(["madelung", "--out", str(out), "--snapshots", *snaps]) == 0
@@ -417,6 +429,22 @@ class TestMadelungCommand:
             # and the madelung Q column is the centre snapshot's, bit for bit
             q = [line.split(",")[-1] for line in lines[1:] if not line.startswith("# ")]
             assert q == [line.split(",")[-1] for line in read_csv_lines(snaps[1])[1:]], j
+
+    def test_snapshots_without_a_phase_column_decompose_without_prior(self, tmp_path):
+        rundir = tmp_path / "run"
+        evolve_in_process(rundir, "--format", "json", "--dt", 0.01, "--steps", 2)
+        snaps = [rundir / f"snap_{t}.json" for t in ("0", "0.01", "0.02")]
+        outs = [tmp_path / "with-S.json", tmp_path / "without-S.json"]
+        argv = ["madelung", "--snapshots", *map(str, snaps), "--out"]
+        assert cli.main([*argv, str(outs[0])]) == 0
+        for path in snaps:
+            doc = json.loads(path.read_text())
+            for row in doc["rows"]:
+                del row["S"]
+            path.write_text(json.dumps(doc))
+        assert cli.main([*argv, str(outs[1])]) == 0
+        # this packet's S has not drifted, so both anchors pick the same branch
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_round_trip_from_evolve_output(self, tmp_path):
         rundir = tmp_path / "run"
@@ -749,6 +777,25 @@ class TestOptionTables:
         r = run("evolve", "--out", tmp_path / "run", "--omega0", "-1", "--potential", "none")
         assert r.returncode == 2
         assert "--omega0 must be positive" in r.stderr
+
+    @pytest.mark.parametrize("argv,message", [
+        (["dispersion", "--model", "radiative", "--tau", "1", "--k-max", "1e100"],
+         "overflows the radiative dispersion polynomial"),
+        (["dispersion", "--model", "phase-diffusion", "--diffusion", "1e300",
+          "--k-min", "1e10", "--k-max", "1e11"],
+         "k = 10000000000.0 overflows the phase-diffusion dispersion polynomial"),
+        (["evolve", "--density", "--model", "collisional", "--gamma", "1", "--k", "1e200"],
+         "k = 1e+200 overflows the collisional dispersion polynomial"),
+        (["spectrum", "--potential", "box", "--width", "1e-160"],
+         "mesh spacing 9.75609756097561e-164 is too fine: its square underflows to 0"),
+        (["spectrum", "--potential", "harmonic", "--omega0", "1", "--length", "1e-300"],
+         "mesh spacing 9.765625e-304 is too fine: its square underflows to 0"),
+    ], ids=["k4-overflow", "diffusion-overflow", "density-k", "box-width", "harmonic-length"])
+    def test_value_beyond_the_float_range_is_input_error(self, tmp_path, argv, message):
+        r = run(*argv, "--out", tmp_path / "out")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("rqbm: input error: ") and message in r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
 
     @pytest.mark.parametrize("command", ["dispersion", "evolve", "madelung", "spectrum"])
     def test_help_flags_are_the_config_keys(self, tmp_path, command):

@@ -88,6 +88,16 @@ def test_polynomial_rejects_bad_inputs():
         build_polynomial(collisional(1.0), float("nan"))
 
 
+@pytest.mark.parametrize("params,k", [
+    (radiative(1.0), 1e100),         # k**4 is beyond the float range
+    (conservative(), 1e200),         # k * k overflows
+    (phase_diffusion(1e300), 1e10),  # D k^2 overflows
+], ids=["k4", "k-squared", "diffusion"])
+def test_coefficient_overflow_is_input_error(params, k):
+    with pytest.raises(InputError, match=re.escape(f"k = {k!r} overflows the")):
+        build_polynomial(params, k)
+
+
 # ----------------------------------------------------------------- root solve
 
 def test_exact_factorization_collisional_gamma_zero():
@@ -156,6 +166,37 @@ def test_engineered_near_double_roots_certify():
         rs = solve_roots(poly)
         assert rs.residuals.max() <= 1e-10
         assert rs.vieta_sum_dev <= 1e-10 and rs.vieta_prod_dev <= 1e-10
+
+
+def test_certification_failure_carries_the_base_interpretation():
+    # d'Alembert D = 1 just off its quadruple root at k = 1: no clustering
+    # width certifies, and the error keeps the base-width root set
+    with pytest.raises(NumericalFailureError,
+                       match=r"^root certification failed at k=1\.000001: ") as exc:
+        solve_roots(build_polynomial(dalembert_diffusion(1.0), 1.000001))
+    assert exc.value.rootset.multiplicities == (1, 1, 1, 1)
+    assert exc.value.rootset.k == 1.000001
+
+
+def test_stack_rows_equal_their_own_solves():
+    polys = [build_polynomial(p, k) for p, k in [
+        (collisional(1.0), 0.3),
+        (radiative(100.0), 0.0),              # an exact double zero
+        (dalembert_diffusion(1.0), 1.0001),   # two double roots
+        (phase_diffusion(1.0), 1e-3),         # a pair 7e-10 apart: certified unclustered
+        (radiative(1.0), 5.0),
+        (dalembert_diffusion(2.0), 40.0),
+    ]]
+    stack = dispersion._solve_stack(polys)
+    assert [rs.multiplicities for rs in stack[1:4]] == [(1, 1, 2), (2, 2), (1, 1, 1, 1)]
+    w = stack[3].roots
+    assert min(abs(a - b) for i, a in enumerate(w) for b in w[i + 1:]) < DEGENERACY_TOL
+    for poly, got in zip(polys, stack):
+        want = solve_roots(poly)
+        for name in ("roots", "residuals", "unique_roots"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.multiplicities, got.vieta_sum_dev, got.vieta_prod_dev, got.k) == (
+            want.multiplicities, want.vieta_sum_dev, want.vieta_prod_dev, want.k)
 
 
 def test_vanishing_leading_coefficient_rejected():

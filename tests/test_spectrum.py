@@ -63,6 +63,14 @@ class TestNonrelEigen:
         with pytest.raises(InputError, match="overflows the harmonic potential"):
             nonrel_eigen(Harmonic(omega0), Grid1D(256, 1e6), 4)
 
+    @pytest.mark.parametrize("potential,grid", [
+        (Box(1e-160), Grid1D(256, 10.0)),
+        (Harmonic(1.0), Grid1D(256, 1e-300)),
+    ], ids=["box", "harmonic"])
+    def test_mesh_whose_square_underflows_is_input_error(self, potential, grid):
+        with pytest.raises(InputError, match="its square underflows to 0"):
+            nonrel_eigen(potential, grid, 4)
+
     def test_harmonic_matches_analytic_ladder(self):
         g = Grid1D(512, 40.0)
         omega0 = 0.5
