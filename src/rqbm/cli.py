@@ -24,8 +24,8 @@ import tempfile
 import warnings
 from dataclasses import replace
 
-# rqbm's BLAS calls are 4x4 stacks and one tridiagonal solve: a second OpenBLAS
-# thread only spins on the other core.  Set before numpy loads OpenBLAS.
+# rqbm's BLAS calls are stacks of 4x4 matrices: a second OpenBLAS thread
+# only spins on the other core.  Set before numpy loads OpenBLAS.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -106,7 +106,8 @@ def build_polynomial(params: ModelParams, k: float) -> DispersionPoly:
     c = np.zeros(5, dtype=np.complex128)
     try:
         if params.model is Model.CONSERVATIVE:
-            c[0] = -k * k
+            # the roots lie near -+k, where the certificates sum |c_j| |w|^j ~ 2 k^2
+            c[0] = -k * k if math.isfinite(2.0 * k * k) else np.inf
             c[1] = 2.0
             c[2] = 1.0
         else:
@@ -160,6 +161,13 @@ class RootSet:
 def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     """Numerically stable roots of c2 w^2 + c1 w + c0 (c2 != 0)."""
     disc = c1 * c1 - 4.0 * c2 * c0
+    if not (math.isfinite(disc.real) and math.isfinite(disc.imag)):
+        # the roots of s P are those of P: a power of two s, which scales
+        # exactly, brings c1^2 and 4 c2 c0 below 1
+        e0, e1, e2 = (math.frexp(abs(c))[1] for c in (c0, c1, c2))
+        s = math.ldexp(1.0, -((max(2 * e1, e0 + e2 + 2) + 1) // 2))
+        c0, c1, c2 = c0 * s, c1 * s, c2 * s
+        disc = c1 * c1 - 4.0 * c2 * c0
     r = np.sqrt(complex(disc))
     # pick the sign that avoids cancellation in c1 + s*r
     s = 1.0 if (c1.real * r.real + c1.imag * r.imag) >= 0.0 else -1.0

@@ -9,8 +9,9 @@ Discretizations: the free particle uses the periodic spectral grid (exact
 plane-wave eigenstates); everything else uses the symmetric 3-point
 finite-difference Laplacian with Dirichlet walls, which is second order in
 dx and Richardson-refinable.  With U = 0 (the box) that operator's levels
-are closed form, (2/h^2) sin^2(m pi / (2(n + 1))) on n interior points;
-only a nonzero potential calls scipy's tridiagonal eigensolver.
+are closed form, (2/h^2) sin^2(m pi / (2(n + 1))) on n interior points.  A
+nonzero potential goes through the numpy tridiagonal eigensolver of
+`rqbm._tridiagonal`, accurate to about eps ||T|| like LAPACK's stebz.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalFailureError, UnsupportedError
+from .errors import DomainError, InputError, UnsupportedError
 from .grid import Grid1D
 
 
@@ -87,24 +88,18 @@ def box_levels(width: float, count: int) -> np.ndarray:
 def _dirichlet_eigen(u: np.ndarray, h: float, count: int) -> np.ndarray:
     if h * h == 0.0:
         raise InputError(f"mesh spacing {h!r} is too fine: its square underflows to 0")
+    if 1.0 / (h * h) == np.inf:
+        raise InputError(f"mesh spacing {h!r} is too fine: 1/h^2 overflows")
     if not np.any(u):
         # with U = 0 the discrete sine modes are exact eigenvectors of the
         # 3-point operator, so its levels are closed form
         m = np.arange(1, count + 1)
         return (2.0 / (h * h)) * np.sin(m * np.pi / (2 * (len(u) + 1))) ** 2
-    # importing scipy.linalg takes about 0.25 s (0.36 s of CPU) on a 2-vCPU
-    # x86_64 machine, so only a nonzero potential loads it
-    from scipy.linalg import eigh_tridiagonal
+    # imported here, so that no other run compiles or holds the eigensolver
+    # (about 4 ms of compiling where no .pyc is written)
+    from ._tridiagonal import lowest_eigenvalues
 
-    diag = 1.0 / (h * h) + u
-    off = np.full(len(u) - 1, -0.5 / (h * h))
-    try:
-        vals = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return np.asarray(vals, dtype=float)
+    return lowest_eigenvalues(1.0 / (h * h) + u, np.full(len(u) - 1, -0.5 / (h * h)), count)
 
 
 def nonrel_eigen(potential: PotentialSpec, grid: Grid1D, count: int) -> np.ndarray:

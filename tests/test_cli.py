@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from rqbm import cli
 from rqbm.cli import _write_table
@@ -551,13 +552,20 @@ class TestSpectrumCommand:
                             "harmonic potential omega0^2 x^2 / 2 on this grid\n")
 
     def test_closed_form_levels_need_no_scipy(self, tmp_path):
-        # a None entry in sys.modules makes every `import scipy...` fail
+        # a None entry in sys.modules makes every `import scipy...` fail; no
+        # spectrum needs scipy, also where the tridiagonal eigensolver runs
+        table = tmp_path / "u.txt"
+        np.savetxt(table, 0.02 * np.linspace(-20, 20, 256) ** 2 + 0.1)
         runs = [
             ["--potential", "box", "--width", "10", "--n", "4096", "--levels", "8"],
             ["--potential", "box", "--width", "10", "--n", "4096", "--levels", "8",
              "--richardson"],
             ["--potential", "free", "--n", "256", "--levels", "8"],
             ["--potential", "harmonic", "--omega0", "0.5", "--n", "256", "--length", "40"],
+            ["--potential", "harmonic", "--omega0", "0.5", "--n", "256", "--length", "40",
+             "--richardson"],
+            ["--potential", "tabulated", "--potential-file", str(table), "--n", "256",
+             "--length", "40"],
         ]
         code = (
             "import sys\n"
@@ -568,8 +576,28 @@ class TestSpectrumCommand:
             "    print(cli.main(['spectrum', *argv, '--out', out]))\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        # the harmonic run needs the eigensolver, which shows the block works
-        assert r.stdout.split() == ["0", "0", "0", "3"], r.stderr
+        assert r.stdout.split() == ["0"] * len(runs), r.stderr
+        # the block works: importing scipy fails in that process
+        r = subprocess.run([sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+                            "import scipy.linalg"], capture_output=True, text=True)
+        assert "ModuleNotFoundError" in r.stderr
+
+    def test_extreme_scales_exit_cleanly(self, tmp_path):
+        # 1/h^2 is 4e283, beyond what stebz could square; the solver scales T first
+        # (E_series = 1 + eps - eps^2/2 overflows to -inf here, with one warning)
+        out = tmp_path / "levels.csv"
+        r = run("spectrum", "--potential", "harmonic", "--omega0", "1e150", "--n", "64",
+                "--length", "1e-140", "--out", out)
+        assert r.returncode == 0, r.stderr
+        eps = np.array(csv_columns(read_csv_lines(out))["epsilon"])
+        g = Grid1D(64, 1e-140)
+        diag = 1.0 / g.dx**2 + 0.5e300 * g.x**2
+        off = np.full(63, -0.5 / g.dx**2)
+        norm = np.max(np.abs(diag)) + 2 * abs(off[0])
+        s = 2.0 ** -np.frexp(norm)[1]
+        ref = eigh_tridiagonal(diag * s, off * s, select="i", select_range=(0, 7),
+                               eigvals_only=True) / s
+        assert np.max(np.abs(eps - ref)) <= np.finfo(float).eps * norm
 
 
 class TestTopLevel:
@@ -581,6 +609,15 @@ class TestTopLevel:
     def test_cli_import_leaves_scipy_unloaded(self):
         r = subprocess.run(
             [sys.executable, "-c", "import sys, rqbm.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_eigensolver_unloaded(self):
+        # only a nonzero-potential spectrum imports it, so no other process compiles it
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, rqbm.cli; print('rqbm._tridiagonal' in sys.modules)"],
             capture_output=True, text=True,
         )
         assert r.returncode == 0, r.stderr
@@ -695,14 +732,14 @@ class TestBlasThreads:
         return r.stdout.split()
 
     def spectrum_code(self, tmp_path):
-        # the harmonic levels call scipy's eigensolver, so scipy's OpenBLAS loads too
+        # the harmonic levels run the tridiagonal eigensolver, which needs no scipy
         argv = ["spectrum", "--potential", "harmonic", "--omega0", "1", "--n", "256",
                 "--out", str(tmp_path / "levels.csv")]
         return (
             "import os, sys\n"
             "from rqbm import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n"
             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
         )
 
@@ -790,7 +827,16 @@ class TestOptionTables:
          "mesh spacing 9.75609756097561e-164 is too fine: its square underflows to 0"),
         (["spectrum", "--potential", "harmonic", "--omega0", "1", "--length", "1e-300"],
          "mesh spacing 9.765625e-304 is too fine: its square underflows to 0"),
-    ], ids=["k4-overflow", "diffusion-overflow", "density-k", "box-width", "harmonic-length"])
+        (["spectrum", "--potential", "harmonic", "--omega0", "1", "--n", "64",
+          "--length", "1e-155"],
+         "mesh spacing 1.5625e-157 is too fine: 1/h^2 overflows"),
+        # 4 k^2 overflows from 6.7e153 (those roots are found) and 2 k^2, which
+        # the certificates sum, from 9.5e153
+        (["dispersion", "--model", "conservative", "--k-min", "1e153", "--k-max", "1.3e154",
+          "--k-steps", "5"],
+         "k = 1.3e+154 overflows the conservative dispersion polynomial"),
+    ], ids=["k4-overflow", "diffusion-overflow", "density-k", "box-width", "harmonic-length",
+            "harmonic-inverse-square", "conservative-sweep"])
     def test_value_beyond_the_float_range_is_input_error(self, tmp_path, argv, message):
         r = run(*argv, "--out", tmp_path / "out")
         assert r.returncode == 2, r.stderr

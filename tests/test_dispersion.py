@@ -50,6 +50,15 @@ def test_conservative_polynomial_and_roots():
     assert np.allclose(rs.roots.imag, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("k", [6.8e153, 9.4e153])
+def test_conservative_roots_where_the_discriminant_overflows(k):
+    # 4 + 4 k^2 is beyond the float range, the roots -1 -+ sqrt(1 + k^2) are not
+    with np.errstate(all="raise"):
+        rs = solve_roots(build_polynomial(conservative(), k))
+    np.testing.assert_allclose(sorted(rs.roots.real), [-k, k], rtol=1e-15)
+    assert np.all(rs.roots.imag == 0)
+
+
 @pytest.mark.parametrize(
     "params,k,expect",
     [
@@ -91,8 +100,9 @@ def test_polynomial_rejects_bad_inputs():
 @pytest.mark.parametrize("params,k", [
     (radiative(1.0), 1e100),         # k**4 is beyond the float range
     (conservative(), 1e200),         # k * k overflows
+    (conservative(), 1e154),         # 2 k^2, which the certificates sum, overflows
     (phase_diffusion(1e300), 1e10),  # D k^2 overflows
-], ids=["k4", "k-squared", "diffusion"])
+], ids=["k4", "k-squared", "twice-k-squared", "diffusion"])
 def test_coefficient_overflow_is_input_error(params, k):
     with pytest.raises(InputError, match=re.escape(f"k = {k!r} overflows the")):
         build_polynomial(params, k)

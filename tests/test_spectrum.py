@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from rqbm._tridiagonal import lowest_eigenvalues
 from rqbm.errors import DomainError, InputError, UnsupportedError
 from rqbm.grid import Grid1D
 from rqbm.spectrum import (
@@ -20,6 +21,59 @@ from rqbm.spectrum import (
 )
 
 U = 2.0**-53  # unit roundoff
+EPS = 2 * U
+
+
+def dirichlet_matrix(u, h):
+    """Diagonal and off-diagonal of -lap/2 + U on the 3-point Dirichlet mesh h."""
+    return 1.0 / (h * h) + u, np.full(len(u) - 1, -0.5 / (h * h))
+
+
+def well(n, length, potential):
+    g = Grid1D(n, length)
+    return dirichlet_matrix(potential(g.x), g.dx)
+
+
+def solver_cases():
+    rng = np.random.default_rng(19)
+    cases = {f"harmonic-{n}-{w}": (*well(n, 400.0, lambda x, w=w: 0.5 * w * w * x * x), 8)
+             for n in (8192, 16384) for w in (0.008, 0.012)}
+    cases["harmonic-256-0.5"] = (*well(256, 40.0, lambda x: 0.125 * x * x), 8)
+    # the lowest pair of the deep well is split by about 2e-11, 4 eps ||T||
+    cases["double-deep"] = (*well(2048, 20.0, lambda x: 2.55 * (x * x - 9) ** 2 / 8), 8)
+    cases["double-shallow"] = (*well(2048, 20.0, lambda x: 0.5 * (x * x - 9) ** 2 / 8), 8)
+    cases["random"] = (*well(1024, 100.0, lambda x: rng.uniform(-5, 5, len(x))), 16)
+    cases["step"] = (*well(1000, 50.0, lambda x: np.where(x < 5, 0.0, 3.0)), 8)
+    cases["n5"] = (*dirichlet_matrix(np.array([0.3, -0.2, 0.1, 0.5, 0.0]), 0.7), 5)
+    # constant coefficients with n + 1 = 2^8: counts by cyclic reduction lose
+    # accuracy within about 2e3 eps ||T|| of these eigenvalues
+    cases["constant-255"] = (*dirichlet_matrix(np.ones(255), 0.1), 8)
+    # 1/h^2 is 4e283: stebz overflows squaring the off-diagonal unless T is scaled
+    cases["harmonic-extreme"] = (*well(64, 1e-140, lambda x: 0.5e300 * x * x), 16)
+    return cases
+
+
+SOLVER_CASES = solver_cases()
+
+
+def norm1(diag, off):
+    a = np.abs(off)
+    return np.max(np.abs(diag) + np.concatenate(([0.0], a)) + np.concatenate((a, [0.0])))
+
+
+def sturm_counts(diag, off, shifts):
+    """Eigenvalues below each shift by the sequential LDL^T recurrence, the
+    reference for the solver's cyclic-reduction counts (the entries must be
+    scaled near 1, so that off^2 / q cannot overflow)."""
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(off * off))
+    q = diag[0] - shifts
+    neg = np.zeros(len(shifts), dtype=int)
+    for i in range(len(diag)):
+        if i:
+            q = (diag[i] - shifts) - off[i - 1] ** 2 / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        neg += q < 0
+    return neg
 
 
 class TestAnalyticLevels:
@@ -149,6 +203,32 @@ class TestNonrelEigen:
         with pytest.raises(InputError):
             nonrel_eigen(Free(), g, True)  # True == 1 would return one level
         assert len(nonrel_eigen(Free(), g, 16)) == 16
+
+
+class TestTridiagonalSolver:
+    @pytest.mark.parametrize("case", SOLVER_CASES)
+    def test_matches_lapack_bisection(self, case):
+        diag, off, count = SOLVER_CASES[case]
+        s = 2.0 ** -np.frexp(norm1(diag, off))[1]
+        ref = eigh_tridiagonal(diag * s, off * s, select="i", select_range=(0, count - 1),
+                               eigvals_only=True) / s
+        vals = lowest_eigenvalues(diag, off, count)
+        assert np.max(np.abs(vals - ref)) <= 4 * EPS * norm1(diag, off)
+
+    @pytest.mark.parametrize("case", SOLVER_CASES)
+    def test_levels_are_ascending_and_certified_by_counts(self, case):
+        diag, off, count = SOLVER_CASES[case]
+        with np.errstate(all="raise"):
+            vals = lowest_eigenvalues(diag, off, count)
+        assert np.all(np.diff(vals) >= 0)
+        assert vals.tobytes() == lowest_eigenvalues(diag, off, count).tobytes()
+        # level i lies within 4 eps ||T|| of its value: i eigenvalues lie below
+        # the value's lower bound at most, and i + 1 below its upper one
+        s = 2.0 ** -np.frexp(norm1(diag, off))[1]
+        tol = 4 * EPS * norm1(diag, off) * s
+        counts = sturm_counts(diag * s, off * s, np.concatenate((vals * s - tol, vals * s + tol)))
+        i = np.arange(count)
+        assert np.all(counts[:count] <= i) and np.all(counts[count:] >= i + 1)
 
 
 class TestRelativisticMap:
