@@ -92,6 +92,17 @@ def _horner(coefs, x):
     return out
 
 
+def _horner_unfused(coefs, x):
+    """`_horner` with each product and sum rounded on its own, as numpy's
+    scalar and CPython's complex arithmetic round them: numpy's array complex
+    multiply fuses them (FMA) in its vector loop, so its bits depend on the
+    array's length."""
+    re = im = np.zeros(x.shape)
+    for c in coefs[::-1]:
+        re, im = re * x.real - im * x.imag + c.real, re * x.imag + im * x.real + c.imag
+    return np.stack((re, im), axis=-1).view(np.complex128)[..., 0]
+
+
 def _magnitude(z):
     """|z| as Python's abs(complex) and numpy's scalar abs round it; numpy's
     array abs can differ from them in the last bit."""
@@ -201,21 +212,26 @@ def _deriv_coef(coef: np.ndarray, order: int) -> np.ndarray:
     return c
 
 
-def _newton(coef: np.ndarray, w: np.ndarray, iters: int) -> np.ndarray:
+def _newton(coef: np.ndarray, w: np.ndarray, iters: int, reach=np.inf,
+            horner=_horner, quot=_py_quot) -> np.ndarray:
     """Newton-polish each root w[i, j] of the polynomial with ascending
-    coefficients coef[i].  A root keeps its best iterate by |P| and stops at
-    its first step that does not lower |P|, or at a vanishing derivative."""
+    coefficients coef[i], evaluated by horner and stepped by quot.  A root
+    keeps its best iterate by |P| and stops at its first step that does not
+    lower |P|, at a vanishing derivative, or at its first step that lands
+    farther than reach (broadcast against w) from its start, where it has
+    wandered toward a different root."""
     cols = coef.T[:, :, None]
     dcols = _deriv_coef(coef, 1).T[:, :, None]
-    best, pw = w, _horner(cols, w)
+    start, best, pw = w, w, horner(cols, w)
     best_res = _magnitude(pw)
     live = np.ones(w.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(iters):
-            d = _horner(dcols, w)
+            d = horner(dcols, w)
             live &= ~(_magnitude(d) < 1e-300)
-            w = w - _py_quot(pw, d)
-            pw = _horner(cols, w)
+            w = w - quot(pw, d)
+            live &= ~(_magnitude(w - start) > reach)
+            pw = horner(cols, w)
             res = _magnitude(pw)
             live &= res < best_res
             best = np.where(live, w, best)
@@ -236,35 +252,6 @@ def _companion_roots(coef: np.ndarray) -> np.ndarray:
     a[:, 1:, :-1] = np.eye(d - 1)
     a[:, 0, :] = -p[:, 1:] / p[:, :1]
     return np.linalg.eigvals(a)
-
-
-def _polish_multiple(poly: DispersionPoly, w: complex, mult: int, max_move: float) -> complex:
-    """Refine the location of an m-fold root.
-
-    An m-fold root of P is a simple root of P^(m-1), so Newton on that
-    derivative converges quadratically and is not limited by the ~sqrt(eps)
-    noise floor that pointwise P values hit near a multiple root.  For a
-    near-degenerate cluster the P^(m-1) root sits at the cluster centroid up
-    to O(split^2), which is exactly what the Vieta checks need.
-    """
-    q = _deriv_coef(poly.coefficients[: poly.degree + 1], mult - 1)
-    dq = _deriv_coef(q, 1)
-    start = w
-    best = w
-    best_res = abs(np.polynomial.polynomial.polyval(w, q))
-    for _ in range(4):
-        d = np.polynomial.polynomial.polyval(w, dq)
-        if abs(d) < 1e-300:
-            break
-        w = w - np.polynomial.polynomial.polyval(w, q) / d
-        if abs(w - start) > max_move:
-            break  # wandered toward a different root of the derivative
-        res = abs(np.polynomial.polynomial.polyval(w, q))
-        if res < best_res:
-            best, best_res = w, res
-        else:
-            break
-    return best
 
 
 def _certificates(coef: np.ndarray, roots: np.ndarray):
@@ -289,28 +276,6 @@ def _certificates(coef: np.ndarray, roots: np.ndarray):
     return residuals, sum_dev, prod_dev
 
 
-def _raw_roots(poly: DispersionPoly) -> list[complex]:
-    """All roots of one polynomial, unclustered: exact zeros stripped off
-    symbolically (k=0 gives a double root at 0), then closed forms up to
-    degree 2 and polished companion eigenvalues above."""
-    coef = poly.coefficients[: poly.degree + 1]
-    zeros = 0
-    while coef[0] == 0 and len(coef) > 1:
-        zeros += 1
-        coef = coef[1:]
-
-    d = len(coef) - 1
-    if d == 0:
-        found: list[complex] = []
-    elif d == 1:
-        found = [complex(-coef[0] / coef[1])]
-    elif d == 2:
-        found = _quadratic_roots(complex(coef[0]), complex(coef[1]), complex(coef[2]))
-    else:
-        found = list(_newton(poly.coefficients[None], _companion_roots(coef[None]), 3)[0])
-    return [0.0 + 0.0j] * zeros + found
-
-
 def _mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     """total / count rounded as CPython divides a complex by an int, as
     `sum(cluster) / len(cluster)` did: it keeps the roots of earlier versions."""
@@ -327,8 +292,14 @@ def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
     Root j joins the first cluster whose mean lies within tol * max(1, |w|,
     |mean|) (relative above magnitude 1, so root sets spanning many decades
     keep their small members distinct), or starts the next one.  Simple means
-    take plain Newton, multiple ones Newton on P^(m-1) (the mean alone carries
-    the eigensolver's O(eps^(1/m)) splitting error, which Vieta rejects)."""
+    take two Newton steps.  An m-fold mean, which carries the eigensolver's
+    O(eps^(1/m)) splitting error that Vieta rejects, takes four on P^(m-1):
+    the root is simple there, so Newton is not held at the ~sqrt(eps) noise
+    floor of P near it, and sits at a near-degenerate cluster's centroid up
+    to O(split^2).  A step landing beyond 4 tol max(1, |mean|) has wandered
+    toward another root of P^(m-1).  All multiple clusters share one call,
+    rounded as numpy's scalar arithmetic rounds (`_horner_unfused`, numpy
+    division), so each keeps the root it had when polished on its own."""
     n, deg = raw.shape
     rows = np.arange(n)
     total = np.zeros((n, deg), dtype=np.complex128)
@@ -350,9 +321,16 @@ def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
             label[:, j] = lab
         means = _mean(total, count)
     polished = np.where(means == 0, means, _newton(coef, means, 2))
-    for r, c in zip(*np.nonzero((count > 1) & (means != 0))):
-        m = complex(means[r, c])
-        polished[r, c] = _polish_multiple(polys[r], m, count[r, c], 4.0 * tol * max(1.0, abs(m)))
+    r, c = np.nonzero((count > 1) & (means != 0))
+    if len(r):  # P^(m-1) of each multiple cluster, zero-padded to one width
+        m = count[r, c]
+        q = np.zeros((len(r), deg + 1), dtype=np.complex128)
+        for mult in set(m.tolist()):
+            sel = m == mult
+            q[sel, :deg + 2 - mult] = _deriv_coef(coef[r[sel], :deg + 1], mult - 1)
+        start = means[r, c, None]
+        polished[r, c] = _newton(q, start, 4, 4.0 * tol * np.fmax(1.0, _magnitude(start)),
+                                 _horner_unfused, np.divide)[:, 0]
 
     # each root takes its cluster's mean; ties sort in cluster order, as the
     # sorted distinct means repeated by multiplicity would
@@ -380,7 +358,7 @@ def _solve_stack(
     degeneracy_tol: float = DEGENERACY_TOL,
     vieta_tol: float = VIETA_TOL,
 ) -> list[RootSet]:
-    """`solve_roots` of every polynomial, one batched pass per degree.
+    """`solve_roots` of every polynomial, batched by degree and exact zero roots.
 
     Near an m-fold root the eigensolver error grows like eps^(1/m), which can
     exceed the nominal clustering width (a coalescing pair split by ~sqrt(eps)
@@ -399,12 +377,19 @@ def _solve_stack(
         coef = np.array([polys[i].coefficients for i in group])
         if np.any(coef[:, deg] == 0):
             raise InputError("leading coefficient vanishes")
-        raw = np.empty((len(group), deg), dtype=np.complex128)
-        batched = (coef[:, 0] != 0) & (deg == 4)
-        if batched.any():
-            raw[batched] = _newton(coef[batched], _companion_roots(coef[batched]), 3)
-        for r in np.flatnonzero(~batched):
-            raw[r] = _raw_roots(polys[group[r]])
+        # exact zero roots (k = 0 gives a double one) come off symbolically;
+        # closed forms take the rest up to degree 2, polished eigenvalues above
+        zeros = np.argmax(coef[:, :deg + 1] != 0, axis=1)
+        raw = np.zeros((len(group), deg), dtype=np.complex128)
+        for z in set(zeros.tolist()):  # np.unique would import numpy.ma
+            rows = np.flatnonzero(zeros == z)
+            rest = coef[rows, z:deg + 1]
+            if deg - z > 2:
+                raw[rows, z:] = _newton(coef[rows], _companion_roots(rest), 3)
+            elif deg - z == 2:
+                raw[rows, z:] = [_quadratic_roots(*map(complex, c)) for c in rest]
+            elif deg - z == 1:
+                raw[rows, z:] = -rest[:, :1] / rest[:, 1:]
         live = np.arange(len(group))
         for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
             got, ok = _interpret([polys[group[r]] for r in live.tolist()], coef[live], raw[live],

@@ -16,6 +16,7 @@ nonzero potential goes through the numpy tridiagonal eigensolver of
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -151,7 +152,8 @@ class SpectrumResult:
 
 
 def relativistic_map(epsilon) -> SpectrumResult:
-    """E_n = sqrt(1 + 2 eps_n) with its quadratic series approximant."""
+    """E_n = sqrt(1 + 2 eps_n) with its quadratic series approximant, which
+    overflows to -inf above eps of about 1.9e154 and then warns once."""
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
     if eps.ndim != 1 or not np.all(np.isfinite(eps)):
         raise InputError("epsilon must be a finite 1-D array")
@@ -161,7 +163,16 @@ def relativistic_map(epsilon) -> SpectrumResult:
         raise DomainError(
             f"relativistic map undefined at index {i}: epsilon={eps[i]} <= -1/2"
         )
-    e = np.sqrt(1.0 + 2.0 * eps)
-    e_series = 1.0 + eps - 0.5 * eps * eps
-    rel_gap = np.abs(e - e_series) / e
+    with np.errstate(over="ignore"):
+        e = np.sqrt(1.0 + 2.0 * eps)
+        # 2 eps overflows above about 9e307, where E is sqrt(2 eps) to rounding
+        big = np.flatnonzero(np.isinf(e))
+        e[big] = np.sqrt(2.0) * np.sqrt(eps[big])
+        e_series = 1.0 + eps - 0.5 * eps * eps
+        rel_gap = np.abs(e - e_series) / e
+    over = np.flatnonzero(~np.isfinite(e_series))
+    if len(over):
+        i = int(over[0])
+        warnings.warn(f"E_series overflows from level {i} (epsilon = {float(eps[i])!r}); "
+                      "written as -inf", RuntimeWarning, stacklevel=2)
     return SpectrumResult(epsilon=eps, E=e, E_series=e_series, rel_gap=rel_gap)

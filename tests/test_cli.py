@@ -584,12 +584,16 @@ class TestSpectrumCommand:
 
     def test_extreme_scales_exit_cleanly(self, tmp_path):
         # 1/h^2 is 4e283, beyond what stebz could square; the solver scales T first
-        # (E_series = 1 + eps - eps^2/2 overflows to -inf here, with one warning)
+        # (E_series = 1 + eps - eps^2/2 overflows to -inf from the lowest level,
+        # and the run names that level once)
         out = tmp_path / "levels.csv"
         r = run("spectrum", "--potential", "harmonic", "--omega0", "1e150", "--n", "64",
                 "--length", "1e-140", "--out", out)
         assert r.returncode == 0, r.stderr
         eps = np.array(csv_columns(read_csv_lines(out))["epsilon"])
+        assert r.stderr.splitlines() == [
+            f"rqbm: warning: E_series overflows from level 0 (epsilon = {float(eps[0])!r}); "
+            "written as -inf"]
         g = Grid1D(64, 1e-140)
         diag = 1.0 / g.dx**2 + 0.5e300 * g.x**2
         off = np.full(63, -0.5 / g.dx**2)

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +362,122 @@ def test_batched_roots_equal_scalar_polish():
             assert rs.roots.tobytes() == _one_at_a_time(poly).tobytes()
             checked += 1
     assert checked >= 500
+
+
+def _multiple_one_at_a_time(q, w, reach):
+    """An m-fold root polished as earlier versions polished it, one cluster
+    at a time in numpy scalar arithmetic: up to four Newton steps on P^(m-1)
+    (ascending coefficients q) from the cluster mean w by
+    `np.polynomial.polynomial.polyval`, keeping the best iterate by
+    |P^(m-1)| and stopping at the first step that does not lower it, at a
+    vanishing derivative, or at the first step that lands farther than reach
+    from the mean."""
+    polyval = np.polynomial.polynomial.polyval
+    dq = dispersion._deriv_coef(q, 1)
+    start = best = w
+    best_res = abs(polyval(w, q))
+    for _ in range(4):
+        d = polyval(w, dq)
+        if abs(d) < 1e-300:
+            break
+        w = w - polyval(w, q) / d
+        if abs(w - start) > reach:
+            break
+        res = abs(polyval(w, q))
+        if not res < best_res:
+            break
+        best, best_res = w, res
+    return best
+
+
+def test_multiple_roots_equal_scalar_polish(monkeypatch):
+    polished = []
+    newton = dispersion._newton
+
+    def spy(coef, w, iters, *rest):
+        out = newton(coef, w, iters, *rest)
+        if iters == 4:  # the multiple-root polish: one row per cluster
+            reach = np.broadcast_to(rest[0], w.shape)[:, 0]
+            polished.extend(zip(coef, w[:, 0], reach, out[:, 0]))
+        return out
+
+    def check(poly=None):
+        found = set()
+        for q, start, reach, got in polished:
+            size = np.flatnonzero(q)[-1] + 1
+            if poly is not None:
+                mult = poly.degree + 2 - size
+                want = dispersion._deriv_coef(poly.coefficients[: poly.degree + 1], mult - 1)
+                assert q[:size].tobytes() == want.tobytes() and not q[size:].any()
+                found.add((got.tobytes(), mult))
+            assert any(float(reach) == 4.0 * DEGENERACY_TOL * f * max(1.0, abs(start))
+                       for f in (1.0, 10.0, 100.0, 1e3, 1e4))
+            ref = _multiple_one_at_a_time(q[:size], complex(start), float(reach))
+            assert np.complex128(ref).tobytes() == got.tobytes()
+        return found
+
+    monkeypatch.setattr(dispersion, "_newton", spy)
+    rng = np.random.default_rng(20)
+    tag = collisional(1.0)
+    polys = [build_polynomial(dalembert_diffusion(1.0), k)
+             for k in np.concatenate([np.geomspace(0.01, 10.0, 40), [1.0]])]
+    # radiative tau = 1 at k = 0 has a double root at -2i beside the double zero;
+    # at this k a triple cluster's polish stops where a step leaves its reach
+    polys += [build_polynomial(radiative(1.0), 0.0),
+              build_polynomial(dalembert_diffusion(1.0), 4.872004056177698e-07)]
+    for i in range(120):
+        a, b, c = 10.0 ** rng.uniform(-2, 2, 3) * np.exp(2j * np.pi * rng.random(3))
+        roots = [(a, a, b, c), (a, a, a, b), (a, a, b, b), (a, a, a, a)][i % 4]
+        polys.append(DispersionPoly(coefficients=np.poly(roots)[::-1], k=0.0, model=tag))
+    checked = 0
+    for poly in polys:
+        polished.clear()
+        try:
+            rs = solve_roots(poly)
+        except NumericalFailureError as exc:
+            rs = exc.rootset
+        found = check(poly)
+        for w, mult in zip(rs.unique_roots, rs.multiplicities):
+            if mult > 1 and w != 0:
+                assert (w.tobytes(), mult) in found
+                checked += 1
+    assert checked >= 150
+    # one stack polishes all its clusters in one call, long enough for numpy's
+    # vector loops, whose complex multiply rounds through FMA
+    polished.clear()
+    try:
+        dispersion._solve_stack(polys)
+    except NumericalFailureError:
+        pass
+    assert len(polished) >= 150
+    check()
+
+
+def test_dalembert_quadruple_root_sweep_keeps_its_columns():
+    # the step across the quadruple root at k = 1 ties all 24 matchings within
+    # rounding, so the mirror twin +-a + i each column follows past it rests on
+    # the last bits of the roots before it: these are the columns of
+    # `rqbm dispersion --model dalembert-diffusion --diffusion 1 --k-steps 2000`
+    # in earlier versions
+    k = np.geomspace(0.01, 10.0, 2000)
+    curve = track_branches(dalembert_diffusion(1.0), k)
+    past = k > 1.0
+    assert past.sum() == 667
+    assert np.all(curve.branches[:2, past].real < 0) and np.all(curve.branches[2:, past].real > 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "radiative", "--tau", "1", "--k-min", "0", "--k-scale", "linear"],
+    ["--model", "dalembert-diffusion", "--diffusion", "1"],
+])
+def test_multiple_root_sweeps_leave_numpy_polynomial_unloaded(tmp_path, argv):
+    # numpy.ma, which np.unique imports, would add about 1.3 MB to a sweep's peak RSS
+    code = ("import sys; from rqbm import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, 'numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code, "dispersion", *argv,
+                        "--out", str(tmp_path / "sweep.csv")], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "False", "False"]
 
 
 def _sorted_columns(curve, j):

@@ -260,3 +260,14 @@ class TestRelativisticMap:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             relativistic_map([0.1, np.nan])
+
+    def test_series_overflow_names_its_first_level(self):
+        with pytest.warns(RuntimeWarning) as record:
+            with np.errstate(all="raise"):
+                res = relativistic_map([1.0, 1e154, 2e154, 1e300, 1e308])
+        assert [str(w.message) for w in record] == [
+            "E_series overflows from level 2 (epsilon = 2e+154); written as -inf"]
+        assert np.all(np.isfinite(res.E_series[:2])) and np.all(res.E_series[2:] == -np.inf)
+        assert np.all(res.rel_gap[2:] == np.inf)
+        # 2 eps overflows at 1e308, but E = sqrt(2 eps) does not
+        assert res.E[4] == pytest.approx(np.sqrt(2.0) * 1e154, rel=4e-16)
