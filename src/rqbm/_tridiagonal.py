@@ -16,8 +16,10 @@ from .errors import NumericalFailureError
 # a pivot below this (times the largest squared coupling, if above 1) is
 # replaced; see _reduce for why no intermediate can then overflow
 _PIVMIN = 2.0**-500
-# elements of one (rows, n) work array of the eigensolver: 1 MiB
-_BLOCK = 1 << 17
+# elements of one (rows, n) work array of the eigensolver: 512 KiB.  Its
+# blocks partition shifts that are counted or refined independently, so
+# the eigenvalues do not depend on it, only the work arrays' size does
+_BLOCK = 1 << 16
 _EPS = 2.0**-52
 
 

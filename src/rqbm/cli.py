@@ -60,12 +60,15 @@ log = logging.getLogger("rqbm.cli")
 _SENTINEL = object()  # marks "flag not given" so config/file defaults can fill in
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, blocks) -> None:
+    """Write the strings `blocks`, one `write` each, to a temp file beside
+    `path`, and rename it over `path` once all are written."""
     path = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".rqbm-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            for block in blocks:
+                f.write(block)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -88,25 +91,33 @@ def _csv_cell(v) -> str:
 def _json_cell(v) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return "null"
+    if isinstance(v, np.integer):
+        return str(int(v))
     return json.dumps(v)
 
 
-def _column(col, fmt: str) -> tuple[str, list]:
-    """A column's field in the line template, and the values that fill it.
+# rows formatted and written at a time, so that writing a table holds
+# the text and the Python values of this many rows only
+_ROWS = 256
 
-    A float64 array is formatted by the template itself: "%.17g" in CSV, and
-    in JSON "%s", which prints a float as its shortest repr as json does;
-    only its non-finite values become JSON cell strings.  Any other column
-    becomes cell strings one value at a time.
-    """
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        if fmt == "csv":
-            return "%.17g", col.tolist()
+
+def _is_floats(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype == np.float64
+
+
+def _cells(col, fmt: str) -> list:
+    """The values that fill a column's field of the line template, for one
+    block of rows.  A float64 array is formatted by the template itself:
+    "%.17g" in CSV, and in JSON "%s", which prints a float as its shortest
+    repr as json does; only its non-finite values become JSON cell strings.
+    Any other column becomes cell strings one value at a time."""
+    if _is_floats(col):
         values = col.tolist()
-        for i in np.flatnonzero(~np.isfinite(col)):
-            values[i] = _json_cell(values[i])
-        return "%s", values
-    return "%s", list(map(_csv_cell if fmt == "csv" else _json_cell, col))
+        if fmt == "json":
+            for i in np.flatnonzero(~np.isfinite(col)):
+                values[i] = _json_cell(values[i])
+        return values
+    return list(map(_csv_cell if fmt == "csv" else _json_cell, col))
 
 
 def _write_table(path: str, fmt: str, header: list[str], columns: list,
@@ -116,27 +127,41 @@ def _write_table(path: str, fmt: str, header: list[str], columns: list,
     CSV rows are `_csv_cell` cells ("%.17g", empty for None) joined by commas,
     then one `# key = value` line per footer entry.  JSON is exactly
     json.dumps({"rows": [...], "diagnostics": footer}, indent=2) with NaN
-    written as null; each row fills one record template.
+    written as null; each row fills one record template.  Both are built
+    and written `_ROWS` rows at a time, each block formatted from its slice
+    of every column, so the bytes do not depend on the block size.  Columns
+    of unequal length raise ValueError before any file is made.
     """
-    parts = [_column(col, fmt) for col in columns]
-    rows = zip(*(values for _, values in parts), strict=True)
-    if fmt == "csv":
-        line = ",".join(field for field, _ in parts)
-        lines = [",".join(header), *[line % row for row in rows]]
-        lines += [f"# {k} = {_csv_cell(v)}" for k, v in (footer or {}).items()]
-        text = "\n".join(lines) + "\n"
-    else:
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns of unequal length: {[len(col) for col in columns]}")
+    fields = ["%.17g" if fmt == "csv" and _is_floats(col) else "%s" for col in columns]
+
+    def rows(j: int):
+        return zip(*(_cells(col[j:j + _ROWS], fmt) for col in columns))
+
+    def csv():
+        yield ",".join(header) + "\n"
+        line = ",".join(fields) + "\n"
+        for j in range(0, n, _ROWS):
+            yield "".join([line % row for row in rows(j)])
+        yield "".join(f"# {k} = {_csv_cell(v)}\n" for k, v in (footer or {}).items())
+
+    def json_doc():
         rec = "    {\n" + ",\n".join(
             f"      {json.dumps(h).replace('%', '%%')}: {field}"
-            for h, (field, _) in zip(header, parts)) + "\n    }"
-        body = ",\n".join([rec % row for row in rows])
-        text = '{\n  "rows": ' + (f"[\n{body}\n  ]" if body else "[]")
+            for h, field in zip(header, fields)) + "\n    }"
+        yield '{\n  "rows": ' + ("[\n" if n else "[]")
+        for j in range(0, n, _ROWS):
+            yield (",\n" if j else "") + ",\n".join([rec % row for row in rows(j)])
+        text = "\n  ]" if n else ""
         if footer:
             items = ",\n".join(f"    {json.dumps(k)}: {_json_cell(v)}"
                                for k, v in footer.items())
             text += f',\n  "diagnostics": {{\n{items}\n  }}'
-        text += "\n}\n"
-    _atomic_write(path, text)
+        yield text + "\n}\n"
+
+    _atomic_write(path, csv() if fmt == "csv" else json_doc())
 
 
 class _SnapshotWriter:
@@ -352,6 +377,16 @@ def _resolve(args: argparse.Namespace, options: list) -> dict:
     return cfg
 
 
+def _check_out_file(path: str) -> None:
+    """An output file the run could not create is an input error, found
+    before the run rather than at its end."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise InputError(f"--out {path}: directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise InputError(f"--out {path} is a directory")
+
+
 def _model_params(cfg: dict) -> ModelParams:
     model = model_from_name(str(cfg["model"]))
     return ModelParams(model, gamma=cfg["gamma"], tau=cfg["tau"], diffusion=cfg["diffusion"])
@@ -369,6 +404,7 @@ DISPERSION = COMMON + _model_rows(REQUIRED) + [
 
 
 def _run_dispersion(cfg: dict) -> int:
+    _check_out_file(cfg["out"])
     params = _model_params(cfg)
     k_min, k_max, k_steps = cfg["k_min"], cfg["k_max"], cfg["k_steps"]
     if k_steps is None or k_steps < 2:
@@ -451,7 +487,12 @@ def _run_evolve(cfg: dict) -> int:
     params = _model_params(cfg)
     fmt, dt, steps, stride = cfg["format"], cfg["dt"], cfg["steps"], cfg["snapshot_stride"]
     outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise InputError(f"--out {outdir} is a file; evolve writes a directory")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create --out directory {outdir}: {exc.strerror}") from exc
 
     if cfg["density"]:
         if params.model is Model.CONSERVATIVE:
@@ -577,6 +618,7 @@ MADELUNG = COMMON + _model_rows("conservative") + [
 
 
 def _run_madelung(cfg: dict) -> int:
+    _check_out_file(cfg["out"])
     params = _model_params(cfg)
     xs, psis, ts, phases = zip(*(_read_snapshot(p) for p in cfg["snapshots"]))
     x = xs[0]
@@ -624,6 +666,7 @@ SPECTRUM = COMMON + [
 
 
 def _run_spectrum(cfg: dict) -> int:
+    _check_out_file(cfg["out"])
     grid = Grid1D(cfg["n"], cfg["length"])
     kind = cfg["potential"]
     if kind == "free":

@@ -636,6 +636,47 @@ class TestTopLevel:
         assert r.stdout.strip() == "False"
 
 
+def computing_fails(*args, **kwargs):
+    raise AssertionError("the run computed before checking --out")
+
+
+class TestOutputPath:
+    """An --out the run cannot write to is an input error (exit 2), found
+    before anything is computed, in a message that names the user's path."""
+
+    @pytest.mark.parametrize("argv,compute", [
+        (["dispersion", "--model", "collisional", "--gamma", "1"], "track_branches"),
+        (["spectrum", "--potential", "harmonic", "--omega0", "0.01"], "nonrel_eigen"),
+        (["madelung"], "_window"),
+    ], ids=["dispersion", "spectrum", "madelung"])
+    def test_missing_output_directory(self, tmp_path, capsys, monkeypatch, argv, compute):
+        if argv == ["madelung"]:
+            evolve_in_process(tmp_path / "run", "--steps", 2, *STRIDE_1)
+            argv = argv + ["--snapshots", *(str(tmp_path / "run" / cli._snap_name(t, "csv"))
+                                            for t in (0, 0.05, 0.1))]
+        monkeypatch.setattr(cli, compute, computing_fails)
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"rqbm: input error: --out {out}: directory "
+                                           f"{out.parent} does not exist\n")
+        assert not (tmp_path / "missing").exists()
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "track_branches", computing_fails)
+        argv = ["dispersion", "--model", "conservative", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"rqbm: input error: --out {tmp_path} is a directory\n"
+
+    def test_evolve_output_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "evolve_field", computing_fails)
+        out = tmp_path / "run"
+        out.write_text("kept")
+        assert cli.main(["evolve", "--out", str(out), *STRIDE_1]) == 2
+        assert capsys.readouterr().err == (f"rqbm: input error: --out {out} is a file; "
+                                           "evolve writes a directory\n")
+        assert out.read_text() == "kept"
+
+
 def buffered_env(**extra):
     """This environment with Python's stdout block-buffered, as it is by default
     when not a terminal, so that output left unflushed at exit would be lost."""
@@ -880,6 +921,8 @@ def expected_csv(header, columns, footer):
 
 def expected_json(header, columns, footer):
     def value(v):
+        if isinstance(v, np.integer):
+            return int(v)
         return None if isinstance(v, float) and math.isnan(v) else v
 
     rows = [{h: value(col[i]) for h, col in zip(header, columns)}
@@ -902,6 +945,45 @@ WRITER_COLUMNS = [
     list(range(8)),
 ]
 WRITER_FOOTER = {"t": 0.25, "bad": math.nan, "count": 3, "note": "ok", "huge": -math.inf}
+B = cli._ROWS
+
+
+def block_table(n):
+    """A table of n rows whose cells cycle through specials of every kind."""
+    def cycle(cells):
+        return [cells[i % len(cells)] for i in range(n)]
+
+    return WRITER_HEADER + ["i64"], [
+        np.resize(np.array(SPECIALS), n),
+        np.resize(np.array(FINITE), n) * np.arange(1, n + 1),
+        cycle(WRITER_COLUMNS[2]),
+        -np.resize(np.array(SPECIALS), n)[::-1],
+        cycle(WRITER_COLUMNS[4] + [None]),
+        cycle(list(range(-4, 5))),
+        np.arange(n, dtype=np.int64) - 2**62,
+    ]
+
+
+def record_writes(monkeypatch) -> list:
+    """The text of every write call to a file `_write_table` opens."""
+    writes, fdopen = [], os.fdopen
+
+    class Recorder:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, text):
+            writes.append(text)
+            return self.f.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+    monkeypatch.setattr(cli.os, "fdopen", lambda *args, **kwargs: Recorder(fdopen(*args, **kwargs)))
+    return writes
 
 
 class TestWriterByteContract:
@@ -929,7 +1011,43 @@ class TestWriterByteContract:
         expect = expected_csv if fmt == "csv" else expected_json
         assert path.read_text() == expect(header, columns, footer or {})
 
-    def test_unequal_columns_rejected(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("footer", [None, WRITER_FOOTER])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 1])
+    def test_block_boundaries(self, tmp_path, fmt, footer, n):
+        header, columns = block_table(n)
+        path = tmp_path / f"t.{fmt}"
+        _write_table(str(path), fmt, header, columns, footer=footer)
+        expect = expected_csv if fmt == "csv" else expected_json
+        assert path.read_text() == expect(header, columns, footer or {})
+
+    @pytest.mark.parametrize("fmt,row", [("csv", "\n"), ("json", "    {\n")])
+    def test_no_write_holds_more_than_one_block(self, tmp_path, monkeypatch, fmt, row):
+        writes = record_writes(monkeypatch)
+        header, columns = block_table(10_000)
+        path = tmp_path / f"t.{fmt}"
+        _write_table(str(path), fmt, header, columns, footer=WRITER_FOOTER)
+        assert "".join(writes) == path.read_text()
+        assert max(w.count(row) for w in writes) == B
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_unequal_columns_rejected(self, tmp_path, fmt, short):
+        columns = [np.zeros(3 * B), [1.0] * (3 * B)]
+        columns[short] = columns[short][:-1]
         with pytest.raises(ValueError):
-            _write_table(str(tmp_path / "t.csv"), "csv", ["a", "b"],
-                         [np.zeros(3), [1.0, 2.0]])
+            _write_table(str(tmp_path / f"t.{fmt}"), fmt, ["a", "b"], columns)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt,row", [("csv", "\n"), ("json", "    {\n")])
+    def test_failed_cell_leaves_the_old_file(self, tmp_path, monkeypatch, fmt, row):
+        writes = record_writes(monkeypatch)
+        path = tmp_path / f"t.{fmt}"
+        path.write_text("old")
+        cells = [1.0] * (2 * B)
+        cells[B + 5] = object()  # no cell format takes it
+        with pytest.raises(TypeError):
+            _write_table(str(path), fmt, ["x", "y"], [np.zeros(2 * B), cells])
+        assert sum(w.count(row) for w in writes) >= B  # the first block was written
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_text() == "old"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from rqbm import _tridiagonal
 from rqbm._tridiagonal import lowest_eigenvalues
 from rqbm.errors import DomainError, InputError, UnsupportedError
 from rqbm.grid import Grid1D
@@ -229,6 +230,23 @@ class TestTridiagonalSolver:
         counts = sturm_counts(diag * s, off * s, np.concatenate((vals * s - tol, vals * s + tol)))
         i = np.arange(count)
         assert np.all(counts[:count] <= i) and np.all(counts[count:] >= i + 1)
+
+
+    @pytest.mark.parametrize("matrix", [
+        # the harmonic spectra of the benchmark, on their mesh and its Richardson mesh
+        lambda: well(8192, 400.0, lambda x: 0.5 * 0.008**2 * x * x),
+        lambda: well(16384, 400.0, lambda x: 0.5 * 0.012**2 * x * x),
+        # a tabulated square well, of odd length
+        lambda: dirichlet_matrix(np.where(np.abs(np.arange(16385) - 8192) < 800, 0.0, 0.05),
+                                 400.0 / 16385),
+    ], ids=["harmonic-8192", "harmonic-16384", "well-16385"])
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch, matrix):
+        diag, off = matrix()
+        values = set()
+        for block in (1 << 12, 1 << 16, 1 << 17):
+            monkeypatch.setattr(_tridiagonal, "_BLOCK", block)
+            values.add(lowest_eigenvalues(diag, off, 8).tobytes())
+        assert len(values) == 1
 
 
 class TestRelativisticMap:
