@@ -329,7 +329,7 @@ def _coerce(name: str, kind, default, val):
         return val
     if kind is int:
         if isinstance(val, bool) or not (isinstance(val, (int, np.integer)) or (
-                isinstance(val, str) and val.lstrip("+-").isdigit())):
+                isinstance(val, str) and re.fullmatch(r"[+-]?[0-9]+", val))):
             raise InputError(f"--{name} expects an integer, got {val!r}")
         return int(val)
     if isinstance(kind, tuple):
@@ -489,10 +489,12 @@ def _run_evolve(cfg: dict) -> int:
     outdir = cfg["out"]
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise InputError(f"--out {outdir} is a file; evolve writes a directory")
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create --out directory {outdir}: {exc.strerror}") from exc
+
+    def make_outdir():  # once every input has been checked
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create --out directory {outdir}: {exc.strerror}") from exc
 
     if cfg["density"]:
         if params.model is Model.CONSERVATIVE:
@@ -501,6 +503,7 @@ def _run_evolve(cfg: dict) -> int:
         if k is None or not (np.isfinite(k) and k >= 0):
             raise InputError(f"--k must be finite and >= 0, got {k!r}")
         EvolutionConfig(dt=dt, steps=steps, snapshot_stride=stride)  # validates all three
+        make_outdir()
         init = DensityModeState(k=np.array([k]), derivs=np.array([[1.0, 0.0, 0.0, 0.0]]))
         ts = np.arange(steps // stride + 1) * stride * dt
         rho = np.array([s.rho[0] for s in evolve_density(params, init, ts)])
@@ -541,6 +544,7 @@ def _run_evolve(cfg: dict) -> int:
     traj_rows = []
     fields = arrays = (None, None, None)  # the last window's
     windows = evolve_field(state, econf, potential=potential)
+    make_outdir()
     # traj is written after the writer's child has been reaped, so a run
     # that fails in either process leaves no traj file
     with _SnapshotWriter() as writer:

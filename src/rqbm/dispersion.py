@@ -42,6 +42,8 @@ RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-7
 #: Vieta sum/product checks must hold to this relative tolerance.
 VIETA_TOL = 1e-10
+#: Roots sort with a real part of at most this times |w| read as 0.
+_AXIS_TOL = 1e-12
 
 HYDRODYNAMIC = "hydrodynamic"
 GAPPED = "zitterbewegung-gapped"
@@ -78,7 +80,7 @@ class DispersionPoly:
     def residual_scale(self, omega):
         """Backward-error denominator: sum_j |c_j| |omega|^j."""
         a = np.abs(np.asarray(omega, dtype=np.complex128))
-        out = _horner(_magnitude(self.coefficients), a)
+        out = _horner(np.abs(self.coefficients), a)
         return out if out.ndim else float(out)
 
 
@@ -90,23 +92,6 @@ def _horner(coefs, x):
     for c in coefs[::-1]:
         out = out * x + c
     return out
-
-
-def _horner_unfused(coefs, x):
-    """`_horner` with each product and sum rounded on its own, as numpy's
-    scalar and CPython's complex arithmetic round them: numpy's array complex
-    multiply fuses them (FMA) in its vector loop, so its bits depend on the
-    array's length."""
-    re = im = np.zeros(x.shape)
-    for c in coefs[::-1]:
-        re, im = re * x.real - im * x.imag + c.real, re * x.imag + im * x.real + c.imag
-    return np.stack((re, im), axis=-1).view(np.complex128)[..., 0]
-
-
-def _magnitude(z):
-    """|z| as Python's abs(complex) and numpy's scalar abs round it; numpy's
-    array abs can differ from them in the last bit."""
-    return np.hypot(z.real, z.imag)
 
 
 def build_polynomial(params: ModelParams, k: float) -> DispersionPoly:
@@ -188,22 +173,6 @@ def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [q / c2, c0 / q]
 
 
-def _py_quot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b rounded as CPython divides complex numbers: Smith's method,
-    dividing by the scaled denominator where numpy multiplies by its
-    reciprocal.  With it an array Newton step equals a scalar Python one
-    bit for bit, which keeps the roots, and the output bytes, of earlier
-    versions."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    out = np.empty(np.shape(a), dtype=np.complex128)
-    out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return out
-
-
 def _deriv_coef(coef: np.ndarray, order: int) -> np.ndarray:
     """Ascending coefficients of the order-th derivative (of each row)."""
     c = np.asarray(coef, dtype=np.complex128)
@@ -212,27 +181,27 @@ def _deriv_coef(coef: np.ndarray, order: int) -> np.ndarray:
     return c
 
 
-def _newton(coef: np.ndarray, w: np.ndarray, iters: int, reach=np.inf,
-            horner=_horner, quot=_py_quot) -> np.ndarray:
+def _newton(coef: np.ndarray, w: np.ndarray, iters: int, reach=np.inf) -> np.ndarray:
     """Newton-polish each root w[i, j] of the polynomial with ascending
-    coefficients coef[i], evaluated by horner and stepped by quot.  A root
-    keeps its best iterate by |P| and stops at its first step that does not
-    lower |P|, at a vanishing derivative, or at its first step that lands
-    farther than reach (broadcast against w) from its start, where it has
-    wandered toward a different root."""
+    coefficients coef[i], in numpy's array arithmetic.  A root keeps its best
+    iterate by |P| and stops at its first step that does not lower |P|, at a
+    vanishing derivative, or at its first step that lands farther than reach
+    (broadcast against w) from its start, where it has wandered toward a
+    different root.  numpy rounds an array element alike at any array
+    length, so a row's bits do not depend on the stack it is polished in."""
     cols = coef.T[:, :, None]
     dcols = _deriv_coef(coef, 1).T[:, :, None]
-    start, best, pw = w, w, horner(cols, w)
-    best_res = _magnitude(pw)
+    start, best, pw = w, w, _horner(cols, w)
+    best_res = np.abs(pw)
     live = np.ones(w.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(iters):
-            d = horner(dcols, w)
-            live &= ~(_magnitude(d) < 1e-300)
-            w = w - quot(pw, d)
-            live &= ~(_magnitude(w - start) > reach)
-            pw = horner(cols, w)
-            res = _magnitude(pw)
+            d = _horner(dcols, w)
+            live &= ~(np.abs(d) < 1e-300)
+            w = w - pw / d
+            live &= ~(np.abs(w - start) > reach)
+            pw = _horner(cols, w)
+            res = np.abs(pw)
             live &= res < best_res
             best = np.where(live, w, best)
             best_res = np.where(live, res, best_res)
@@ -259,7 +228,7 @@ def _certificates(coef: np.ndarray, roots: np.ndarray):
     of sorted root rows roots (n, deg) of the polynomials coef (n, 5)."""
     deg = roots.shape[1]
     cols = coef.T[:, :, None]
-    denom = _horner(_magnitude(cols), np.abs(roots))
+    denom = _horner(np.abs(cols), np.abs(roots))
     pvals = np.abs(_horner(cols, roots))
     residuals = np.where(denom > 0, pvals / np.where(denom > 0, denom, 1.0), 0.0)
 
@@ -267,22 +236,13 @@ def _certificates(coef: np.ndarray, roots: np.ndarray):
     lead = coef[:, deg]
     sum_target = -coef[:, deg - 1] / lead
     prod_target = coef[:, 0] / lead * (1 if deg % 2 == 0 else -1)
-    sum_dev = _magnitude(roots.sum(axis=1) - sum_target) / np.maximum(
-        np.maximum(_magnitude(sum_target), np.abs(roots).sum(axis=1)), 1e-300
+    sum_dev = np.abs(roots.sum(axis=1) - sum_target) / np.maximum(
+        np.maximum(np.abs(sum_target), np.abs(roots).sum(axis=1)), 1e-300
     )
-    prod_dev = _magnitude(np.prod(roots, axis=1) - prod_target) / np.maximum(
-        np.maximum(_magnitude(prod_target), np.prod(np.abs(roots), axis=1)), 1e-300
+    prod_dev = np.abs(np.prod(roots, axis=1) - prod_target) / np.maximum(
+        np.maximum(np.abs(prod_target), np.prod(np.abs(roots), axis=1)), 1e-300
     )
     return residuals, sum_dev, prod_dev
-
-
-def _mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """total / count rounded as CPython divides a complex by an int, as
-    `sum(cluster) / len(cluster)` did: it keeps the roots of earlier versions."""
-    out = np.empty(total.shape, dtype=np.complex128)
-    out.real = (total.real + total.imag * 0.0) / count
-    out.imag = (total.imag - total.real * 0.0) / count
-    return out
 
 
 def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
@@ -297,29 +257,31 @@ def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
     the root is simple there, so Newton is not held at the ~sqrt(eps) noise
     floor of P near it, and sits at a near-degenerate cluster's centroid up
     to O(split^2).  A step landing beyond 4 tol max(1, |mean|) has wandered
-    toward another root of P^(m-1).  All multiple clusters share one call,
-    rounded as numpy's scalar arithmetic rounds (`_horner_unfused`, numpy
-    division), so each keeps the root it had when polished on its own."""
+    toward another root of P^(m-1).  All multiple clusters share one call.
+
+    Roots sort by (Re w, Im w), both `roots` and `unique_roots`, with a real
+    part within _AXIS_TOL |w| of the axis read as 0: an imaginary-axis root
+    sorts by Im w alone, not by the sign of its rounding noise."""
     n, deg = raw.shape
     rows = np.arange(n)
     total = np.zeros((n, deg), dtype=np.complex128)
     count = np.zeros((n, deg), dtype=int)
     label = np.empty((n, deg), dtype=int)
     made = np.zeros(n, dtype=int)
-    with np.errstate(invalid="ignore"):  # a non-finite root makes inf * 0
+    # an empty cluster's mean is 0 / 0, and a non-finite root makes inf - inf
+    with np.errstate(invalid="ignore"):
         for j in range(deg):
             w = raw[:, j]
-            size = _magnitude(w)
+            size = np.abs(w)
             lab = made.copy()
             for c in range(j):
-                m = _mean(total[:, c], count[:, c])
-                lab[(c < lab) & (_magnitude(w - m)
-                                 <= tol * np.fmax(np.fmax(1.0, size), _magnitude(m)))] = c
+                m = total[:, c] / count[:, c]
+                lab[(c < lab) & (np.abs(w - m) <= tol * np.fmax(np.fmax(1.0, size), np.abs(m)))] = c
             made += lab == made
             total[rows, lab] += w
             count[rows, lab] += 1
             label[:, j] = lab
-        means = _mean(total, count)
+        means = total / count
     polished = np.where(means == 0, means, _newton(coef, means, 2))
     r, c = np.nonzero((count > 1) & (means != 0))
     if len(r):  # P^(m-1) of each multiple cluster, zero-padded to one width
@@ -329,13 +291,15 @@ def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
             sel = m == mult
             q[sel, :deg + 2 - mult] = _deriv_coef(coef[r[sel], :deg + 1], mult - 1)
         start = means[r, c, None]
-        polished[r, c] = _newton(q, start, 4, 4.0 * tol * np.fmax(1.0, _magnitude(start)),
-                                 _horner_unfused, np.divide)[:, 0]
+        polished[r, c] = _newton(q, start, 4, 4.0 * tol * np.fmax(1.0, np.abs(start)))[:, 0]
+
+    def axis_real(w):
+        return np.where(np.abs(w.real) <= _AXIS_TOL * np.abs(w), 0.0, w.real)
 
     # each root takes its cluster's mean; ties sort in cluster order, as the
     # sorted distinct means repeated by multiplicity would
     vals = np.take_along_axis(polished, label, 1)
-    roots = np.take_along_axis(vals, np.lexsort((label, vals.imag, vals.real), axis=-1), 1)
+    roots = np.take_along_axis(vals, np.lexsort((label, vals.imag, axis_real(vals)), axis=-1), 1)
     residuals, sum_dev, prod_dev = _certificates(coef, roots)
     ok = (np.all(residuals <= residual_tol, axis=1)
           & (sum_dev <= vieta_tol) & (prod_dev <= vieta_tol))
@@ -344,7 +308,7 @@ def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
         unique, mults = roots[r].copy(), (1,) * deg
         if multiple[r]:
             unique, mults = polished[r, :made[r]], count[r, :made[r]]
-            order = np.lexsort((unique.imag, unique.real))
+            order = np.lexsort((unique.imag, axis_real(unique)))
             unique, mults = unique[order], tuple(map(int, mults[order]))
         sets.append(RootSet(roots=roots[r], residuals=residuals[r], k=poly.k, model=poly.model,
                             unique_roots=unique, multiplicities=mults,
@@ -358,7 +322,8 @@ def _solve_stack(
     degeneracy_tol: float = DEGENERACY_TOL,
     vieta_tol: float = VIETA_TOL,
 ) -> list[RootSet]:
-    """`solve_roots` of every polynomial, batched by degree and exact zero roots.
+    """`solve_roots` of every polynomial, all of one degree, batched by their
+    exact zero roots.  Each row gets the bits of its own one-row solve.
 
     Near an m-fold root the eigensolver error grows like eps^(1/m), which can
     exceed the nominal clustering width (a coalescing pair split by ~sqrt(eps)
@@ -368,42 +333,39 @@ def _solve_stack(
     by less than the clustering width (phase diffusion at D = 1 and k ~ 1e-3
     splits by ~1e-9) fails Vieta when merged but certifies as two simple roots.
     """
+    deg = polys[0].degree
+    if any(p.degree != deg for p in polys):
+        raise InputError("a root stack takes polynomials of one degree")
+    coef = np.array([p.coefficients for p in polys])
+    if np.any(coef[:, deg] == 0):
+        raise InputError("leading coefficient vanishes")
+    # exact zero roots (k = 0 gives a double one) come off symbolically;
+    # closed forms take the rest up to degree 2, polished eigenvalues above
+    zeros = np.argmax(coef[:, :deg + 1] != 0, axis=1)
+    raw = np.zeros((len(polys), deg), dtype=np.complex128)
+    for z in set(zeros.tolist()):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(zeros == z)
+        rest = coef[rows, z:deg + 1]
+        if deg - z > 2:
+            raw[rows, z:] = _newton(coef[rows], _companion_roots(rest), 3)
+        elif deg - z == 2:
+            raw[rows, z:] = [_quadratic_roots(*map(complex, c)) for c in rest]
+        elif deg - z == 1:
+            raw[rows, z:] = -rest[:, :1] / rest[:, 1:]
     sets: list[RootSet | None] = [None] * len(polys)
-    failed = []
-    for deg in (4, 2):
-        group = [i for i, p in enumerate(polys) if p.degree == deg]
-        if not group:
-            continue
-        coef = np.array([polys[i].coefficients for i in group])
-        if np.any(coef[:, deg] == 0):
-            raise InputError("leading coefficient vanishes")
-        # exact zero roots (k = 0 gives a double one) come off symbolically;
-        # closed forms take the rest up to degree 2, polished eigenvalues above
-        zeros = np.argmax(coef[:, :deg + 1] != 0, axis=1)
-        raw = np.zeros((len(group), deg), dtype=np.complex128)
-        for z in set(zeros.tolist()):  # np.unique would import numpy.ma
-            rows = np.flatnonzero(zeros == z)
-            rest = coef[rows, z:deg + 1]
-            if deg - z > 2:
-                raw[rows, z:] = _newton(coef[rows], _companion_roots(rest), 3)
-            elif deg - z == 2:
-                raw[rows, z:] = [_quadratic_roots(*map(complex, c)) for c in rest]
-            elif deg - z == 1:
-                raw[rows, z:] = -rest[:, :1] / rest[:, 1:]
-        live = np.arange(len(group))
-        for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
-            got, ok = _interpret([polys[group[r]] for r in live.tolist()], coef[live], raw[live],
-                                 degeneracy_tol * factor, residual_tol, vieta_tol)
-            # a row that never certifies keeps its base interpretation for the error
-            for r, rs, good in zip(live.tolist(), got, ok.tolist()):
-                if good or factor == 1.0:
-                    sets[group[r]] = rs
-            live = live[~ok]
-            if not len(live):
-                break
-        failed += [group[r] for r in live.tolist()]
-    if failed:
-        first = sets[min(failed)]
+    live = np.arange(len(polys))
+    for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
+        got, ok = _interpret([polys[r] for r in live.tolist()], coef[live], raw[live],
+                             degeneracy_tol * factor, residual_tol, vieta_tol)
+        # a row that never certifies keeps its base interpretation for the error
+        for r, rs, good in zip(live.tolist(), got, ok.tolist()):
+            if good or factor == 1.0:
+                sets[r] = rs
+        live = live[~ok]
+        if not len(live):
+            break
+    if len(live):
+        first = sets[live[0]]
         err = NumericalFailureError(
             f"root certification failed at k={first.k}: residuals={first.residuals}, "
             f"vieta=({first.vieta_sum_dev:.3e}, {first.vieta_prod_dev:.3e})"
@@ -483,19 +445,22 @@ def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     permutation p with new[p[i]] continuing prev[i].
 
     Exhaustive over permutations (degree <= 4, so <= 24); raises if the best
-    and a genuinely different pairing are within 10% of each other.
+    and a genuinely different pairing are within 10% of each other.  Costs
+    within 1e-9 of the lowest tie exactly, and the first of them in _PERMS
+    order wins, so rounding noise in the costs cannot pick the columns.
     """
     perms = _PERMS[len(prev)]
-    dist = _magnitude(new[perms] - prev)
-    costs = dist[:, 0]
-    for i in range(1, len(prev)):
-        costs = costs + dist[:, i]
+    costs = np.abs(new[perms] - prev).sum(axis=1)
     best = int(costs.argmin())
     best_cost = float(costs[best])
     near = costs < 1.1 * best_cost + 1e-300
     near[best] = False
     if not near.any():
         return perms[best]
+    tie = 1e-9 * max(best_cost, 1e-30)
+    near[best] = True
+    best = int(np.argmax(costs - best_cost <= tie))
+    near[best] = False
     assigned = new[perms[best]]
     scale = max(1.0, float(np.abs(new).max()), float(np.abs(prev).max()))
     tol = DEGENERACY_TOL * scale
@@ -508,10 +473,10 @@ def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
         # Exact ties come from symmetric configurations (a degenerate parent
         # splitting, or a mirror pair born on the imaginary axis); either
         # continuation is equally valid and no refinement can break the tie,
-        # so the first minimal permutation is kept deterministically.  Only
+        # so the first tied permutation is kept deterministically.  Only
         # inexact near-ties signal an avoided crossing that a finer grid
         # would disambiguate.
-        if cost - best_cost <= 1e-9 * max(best_cost, 1e-30):
+        if cost - best_cost <= tie:
             continue
         parents = prev[differs]
         if np.all(np.abs(parents - parents[0]) <= tol):

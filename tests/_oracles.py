@@ -1,10 +1,11 @@
 """Independent reference computations used by the test suite.
 
-Everything here deliberately avoids the package's own evolution code paths:
-the ODE integrator is a hand-rolled classical RK4 on the companion system,
-the mode exponential is scipy's expm of that system, the field stepper is
-its three-level recurrence written in point space, and the spreading-packet
-formula is written from the closed form.
+Everything here deliberately avoids the package's own code paths: the ODE
+integrator is a hand-rolled classical RK4 on the companion system, the mode
+exponential is scipy's expm of that system, the field stepper is its
+three-level recurrence written in point space, the spreading-packet formula
+is written from the closed form, and polynomial roots come from mpmath at
+60 digits.
 """
 
 from __future__ import annotations
@@ -44,6 +45,28 @@ def mpmath_density_mode(params: ModelParams, k: float, y0, t: float) -> np.ndarr
         e = mpmath.expm(mpmath.matrix(_mode_system(params, k).tolist()) * t)
         y = e * mpmath.matrix([complex(v) for v in y0])
         return np.array([complex(y[i]) for i in range(4)])
+
+
+def mpmath_roots(coefficients, dps: int = 60) -> list:
+    """Roots (mpmath mpc) of the polynomial with these ascending coefficients,
+    taken exactly as stored, at dps digits: Durand-Kerner, or, where that
+    stalls on a multiple root, the eigenvalues of the companion matrix, whose
+    cluster centroids stay accurate to about 10^-dps."""
+    import mpmath
+
+    c = np.asarray(coefficients, dtype=np.complex128)
+    c = [mpmath.mpc(z.real, z.imag) for z in c[:np.flatnonzero(c)[-1] + 1]]
+    d = len(c) - 1
+    with mpmath.workdps(dps):
+        try:
+            return mpmath.polyroots(c[::-1], maxsteps=200, extraprec=dps)
+        except mpmath.mp.NoConvergence:
+            a = mpmath.zeros(d, d)
+            for i in range(d):
+                a[0, i] = -c[d - 1 - i] / c[d]
+                if i:
+                    a[i, i - 1] = 1
+            return list(mpmath.eig(a, left=False, right=False))
 
 
 def rk4_density_mode(

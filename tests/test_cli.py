@@ -676,6 +676,23 @@ class TestOutputPath:
                                            "evolve writes a directory\n")
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--density"], "--density needs a dissipative model"),
+        (["--model", "collisional", "--gamma", "1"], "use --density"),
+        (["--init", "plane-wave"], "--init plane-wave requires --mode-k"),
+        (["--method", "stepper", "--dt", "0.2"], "stepper needs dt <"),
+    ], ids=["density-conservative", "field-dissipative", "plane-wave-no-mode", "stepper-dt"])
+    def test_evolve_input_error_makes_no_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        assert cli.main(["evolve", "--out", str(out), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # an existing directory is kept as it was
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        assert cli.main(["evolve", "--out", str(out), *argv]) == 2
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
 
 def buffered_env(**extra):
     """This environment with Python's stdout block-buffered, as it is by default
@@ -832,6 +849,8 @@ DISPERSION_CONFIG = "model: collisional\ngamma: 1.0\n"
 CONFIG_ERRORS = [
     ("dispersion", DISPERSION_CONFIG + "k-steps: true\n",
      "--k-steps expects an integer, got True"),
+    ("evolve", 'n: "+-64"\n', "--n expects an integer, got '+-64'"),
+    ("evolve", 'n: "\\u00b2"\n', "--n expects an integer, got '\u00b2'"),
     ("dispersion", DISPERSION_CONFIG + "k-min: small\n",
      "--k-min expects a number, got 'small'"),
     ("dispersion", DISPERSION_CONFIG + "k-scale: cubic\n",

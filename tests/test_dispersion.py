@@ -39,6 +39,8 @@ from rqbm.units import (
     radiative,
 )
 
+from _oracles import mpmath_roots
+
 
 # ---------------------------------------------------------------- polynomials
 
@@ -322,30 +324,17 @@ def test_phase_diffusion_default_sweep_tracks():
 DISSIPATIVE = [collisional, radiative, phase_diffusion, dalembert_diffusion]
 
 
-def _one_at_a_time(poly):
-    """Simple roots of a quartic, polished one Python complex at a time: the
-    np.roots eigenvalues, three Newton steps, two more from each one-root
-    cluster's mean, sorted by real then imaginary part."""
-
-    def newton(w, iters):
-        best, best_res = w, abs(poly(w))
-        for _ in range(iters):
-            d = poly.derivative(w)
-            if abs(d) < 1e-300:
-                break
-            w = w - poly(w) / d
-            res = abs(poly(w))
-            if res >= best_res:
-                break
-            best, best_res = w, res
-        return best
-
-    found = [newton(complex(w), 3) for w in np.roots(poly.coefficients[::-1])]
-    means = sorted((newton(sum([w]) / 1, 2) for w in found), key=lambda w: (w.real, w.imag))
-    return np.array(means)
+EPS = np.finfo(float).eps
 
 
-def test_batched_roots_equal_scalar_polish():
+def _exact_roots(poly):
+    pytest.importorskip("mpmath")
+    return mpmath_roots(poly.coefficients)
+
+
+def test_simple_roots_match_mpmath():
+    # every simple root lies within a few eps of the exact root of the
+    # polynomial its coefficients define
     rng = np.random.default_rng(7)
     tag = collisional(1.0)
     polys = [
@@ -359,106 +348,86 @@ def test_batched_roots_equal_scalar_polish():
     for poly in polys:
         rs = solve_roots(poly)
         if rs.multiplicities == (1, 1, 1, 1):
-            assert rs.roots.tobytes() == _one_at_a_time(poly).tobytes()
+            exact = np.array([complex(r) for r in _exact_roots(poly)])
+            for w in rs.roots:
+                assert np.abs(exact - w).min() <= 8 * EPS * max(1.0, abs(w)), (poly, w)
             checked += 1
     assert checked >= 500
 
 
-def _multiple_one_at_a_time(q, w, reach):
-    """An m-fold root polished as earlier versions polished it, one cluster
-    at a time in numpy scalar arithmetic: up to four Newton steps on P^(m-1)
-    (ascending coefficients q) from the cluster mean w by
-    `np.polynomial.polynomial.polyval`, keeping the best iterate by
-    |P^(m-1)| and stopping at the first step that does not lower it, at a
-    vanishing derivative, or at the first step that lands farther than reach
-    from the mean."""
-    polyval = np.polynomial.polynomial.polyval
-    dq = dispersion._deriv_coef(q, 1)
-    start = best = w
-    best_res = abs(polyval(w, q))
-    for _ in range(4):
-        d = polyval(w, dq)
-        if abs(d) < 1e-300:
-            break
-        w = w - polyval(w, q) / d
-        if abs(w - start) > reach:
-            break
-        res = abs(polyval(w, q))
-        if not res < best_res:
-            break
-        best, best_res = w, res
-    return best
+def test_multiple_roots_match_mpmath():
+    # a certified m-fold root lies within a few tens of eps of the centroid of
+    # the m exact roots it stands for
+    mpmath = pytest.importorskip("mpmath")
 
-
-def test_multiple_roots_equal_scalar_polish(monkeypatch):
-    polished = []
-    newton = dispersion._newton
-
-    def spy(coef, w, iters, *rest):
-        out = newton(coef, w, iters, *rest)
-        if iters == 4:  # the multiple-root polish: one row per cluster
-            reach = np.broadcast_to(rest[0], w.shape)[:, 0]
-            polished.extend(zip(coef, w[:, 0], reach, out[:, 0]))
-        return out
-
-    def check(poly=None):
-        found = set()
-        for q, start, reach, got in polished:
-            size = np.flatnonzero(q)[-1] + 1
-            if poly is not None:
-                mult = poly.degree + 2 - size
-                want = dispersion._deriv_coef(poly.coefficients[: poly.degree + 1], mult - 1)
-                assert q[:size].tobytes() == want.tobytes() and not q[size:].any()
-                found.add((got.tobytes(), mult))
-            assert any(float(reach) == 4.0 * DEGENERACY_TOL * f * max(1.0, abs(start))
-                       for f in (1.0, 10.0, 100.0, 1e3, 1e4))
-            ref = _multiple_one_at_a_time(q[:size], complex(start), float(reach))
-            assert np.complex128(ref).tobytes() == got.tobytes()
-        return found
-
-    monkeypatch.setattr(dispersion, "_newton", spy)
     rng = np.random.default_rng(20)
     tag = collisional(1.0)
     polys = [build_polynomial(dalembert_diffusion(1.0), k)
              for k in np.concatenate([np.geomspace(0.01, 10.0, 40), [1.0]])]
-    # radiative tau = 1 at k = 0 has a double root at -2i beside the double zero;
-    # at this k a triple cluster's polish stops where a step leaves its reach
-    polys += [build_polynomial(radiative(1.0), 0.0),
-              build_polynomial(dalembert_diffusion(1.0), 4.872004056177698e-07)]
+    # radiative tau = 1 at k = 0 has a double root at -2i beside the double zero
+    polys.append(build_polynomial(radiative(1.0), 0.0))
     for i in range(120):
         a, b, c = 10.0 ** rng.uniform(-2, 2, 3) * np.exp(2j * np.pi * rng.random(3))
         roots = [(a, a, b, c), (a, a, a, b), (a, a, b, b), (a, a, a, a)][i % 4]
         polys.append(DispersionPoly(coefficients=np.poly(roots)[::-1], k=0.0, model=tag))
     checked = 0
     for poly in polys:
-        polished.clear()
         try:
             rs = solve_roots(poly)
-        except NumericalFailureError as exc:
-            rs = exc.rootset
-        found = check(poly)
+        except NumericalFailureError:
+            continue
+        exact = _exact_roots(poly)
         for w, mult in zip(rs.unique_roots, rs.multiplicities):
             if mult > 1 and w != 0:
-                assert (w.tobytes(), mult) in found
+                near = sorted(exact, key=lambda r: abs(complex(r) - w))[:mult]
+                with mpmath.workdps(60):
+                    centroid = complex(sum(near) / mult)
+                assert abs(w - centroid) <= 64 * EPS * max(1.0, abs(w)), (poly, w, mult)
                 checked += 1
     assert checked >= 150
-    # one stack polishes all its clusters in one call, long enough for numpy's
-    # vector loops, whose complex multiply rounds through FMA
-    polished.clear()
-    try:
-        dispersion._solve_stack(polys)
-    except NumericalFailureError:
-        pass
-    assert len(polished) >= 150
-    check()
+
+
+def test_mixed_stacks_equal_their_one_row_solves():
+    # a stack polishes all its multiple clusters in one call, whatever their
+    # number; each row keeps the bits of its own solve
+    rng = np.random.default_rng(31)
+    tag = collisional(1.0)
+    pool = [build_polynomial(dalembert_diffusion(1.0), k) for k in np.geomspace(0.01, 10.0, 30)]
+    pool += [build_polynomial(radiative(tau), 0.0) for tau in (0.5, 1.0, 100.0)]
+    for i in range(40):
+        a, b, c = 10.0 ** rng.uniform(-1, 1, 3) * np.exp(2j * np.pi * rng.random(3))
+        roots = [(a, a, b, c), (a, a, b, b), (a, a, a, b), (a, a, a, a)][i % 4]
+        pool.append(DispersionPoly(coefficients=np.poly(roots)[::-1], k=0.0, model=tag))
+    pool += [build_polynomial(collisional(1.0), k) for k in (0.0, 0.3, 4.0)]
+    alone = {}
+    for i, poly in enumerate(pool):
+        try:
+            alone[i] = solve_roots(poly)
+        except NumericalFailureError:
+            pass
+    assert sum(max(alone[i].multiplicities) > 1 for i in alone) >= 60
+    keys = sorted(alone)
+    for _ in range(60):
+        pick = rng.choice(keys, size=rng.integers(2, 25))
+        for i, got in zip(pick, dispersion._solve_stack([pool[i] for i in pick])):
+            want = alone[i]
+            for name in ("roots", "residuals", "unique_roots"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (got.multiplicities, got.vieta_sum_dev, got.vieta_prod_dev) == (
+                want.multiplicities, want.vieta_sum_dev, want.vieta_prod_dev)
+
+
+def test_stack_of_mixed_degrees_rejected():
+    with pytest.raises(InputError, match="one degree"):
+        dispersion._solve_stack([build_polynomial(collisional(1.0), 0.5),
+                                 build_polynomial(conservative(), 0.5)])
 
 
 def test_dalembert_quadruple_root_sweep_keeps_its_columns():
-    # the step across the quadruple root at k = 1 ties all 24 matchings within
-    # rounding, so the mirror twin +-a + i each column follows past it rests on
-    # the last bits of the roots before it: these are the columns of
+    # the step across the quadruple root at k = 1 ties all 24 matchings, so the
+    # tie rule, the first tied permutation, sets the mirror twin +-a + i each
+    # column follows past it: these are the columns of
     # `rqbm dispersion --model dalembert-diffusion --diffusion 1 --k-steps 2000`
-    # in earlier versions
     k = np.geomspace(0.01, 10.0, 2000)
     curve = track_branches(dalembert_diffusion(1.0), k)
     past = k > 1.0
@@ -481,8 +450,11 @@ def test_multiple_root_sweeps_leave_numpy_polynomial_unloaded(tmp_path, argv):
 
 
 def _sorted_columns(curve, j):
+    """Column j of a sweep in the order of `RootSet.roots`: by real, then
+    imaginary part, a real part within _AXIS_TOL |w| of the axis read as 0."""
     col = curve.branches[:, j]
-    order = np.lexsort((col.imag, col.real))
+    re = np.where(np.abs(col.real) <= dispersion._AXIS_TOL * np.abs(col), 0.0, col.real)
+    order = np.lexsort((col.imag, re))
     return col[order], curve.residuals[order, j]
 
 
@@ -530,6 +502,42 @@ def test_random_sweeps_track_without_ambiguity():
         kg = np.geomspace(k_min, k_min * 10 ** rng.uniform(1, 3), rng.integers(20, 201))
         bc = track_branches(make(10 ** rng.uniform(-3, 3)), kg)
         assert bc.branches.shape == (4, len(kg))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rounding_cannot_move_branch_columns(monkeypatch, seed):
+    # every polished root moved by a few ulps: each column follows the same
+    # root, and a label moves only between roots whose |w0| tie.  The sweeps
+    # have exactly tied matchings: d'Alembert D = 1 across its quadruple root,
+    # sweeps from k = 0 (where the double zero root splits), and CI's sweeps
+    sweeps = [(dalembert_diffusion(1.0), np.geomspace(0.01, 10.0, 2000)),
+              (dalembert_diffusion(1.0), np.linspace(0.5, 1.5, 101)),
+              (dalembert_diffusion(1.0025), np.geomspace(0.01, 10.0, 200)),
+              (collisional(1.0025), np.linspace(0.0, 5.0, 100)),
+              (dalembert_diffusion(2.0), np.geomspace(0.01, 75.0, 50)),
+              (collisional(0.001), np.geomspace(0.01, 20.0, 20)),
+              (radiative(0.001), np.geomspace(0.01, 40.0, 20))]
+    sweeps += [(make(rate), np.linspace(0.0, 5.0, 100))
+               for make in DISSIPATIVE for rate in (1e-3, 1.0, 1e3)]
+    base = [track_branches(params, kg) for params, kg in sweeps]
+    rng = np.random.default_rng(seed)
+    newton = dispersion._newton
+
+    def nudged(*args):
+        out = newton(*args)
+        return out * (1.0 + 2.0 * EPS * (rng.uniform(-1, 1, out.shape)
+                                         + 1j * rng.uniform(-1, 1, out.shape)))
+
+    monkeypatch.setattr(dispersion, "_newton", nudged)
+    for (params, kg), want in zip(sweeps, base):
+        got = track_branches(params, kg)
+        assert np.all(np.abs(got.branches - want.branches)
+                      <= 1e-6 * np.fmax(1.0, np.abs(want.branches))), (params, kg[0])
+        size = np.abs(got.branches[:, 0])
+        assert got.labels.index(HYDRODYNAMIC) == np.argmin(size)
+        low = np.sort(size)
+        if low[1] - low[0] > 1e-9 * low[1]:
+            assert got.labels == want.labels, (params, kg[0])
 
 
 def test_bisection_gives_up_past_its_depth(monkeypatch):
