@@ -94,37 +94,43 @@ def _horner(coefs, x):
     return out
 
 
+def _coefficients(params: ModelParams, ks: np.ndarray) -> np.ndarray:
+    """Ascending coefficients (len(ks), 5) at each k of ks, rounded as a one-k
+    build rounds them; raises InputError at the first k that overflows."""
+    c = np.zeros((len(ks), 5), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.model is Model.CONSERVATIVE:
+            # the roots lie near -+k, where the certificates sum |c_j| |w|^j ~ 2 k^2
+            c[:, 0] = np.where(np.isfinite(2.0 * ks * ks), -ks * ks, np.inf)
+            c[:, 1] = 2.0
+            c[:, 2] = 1.0
+        else:
+            # (1/4)(k^2 - omega^2)^2 - omega^2 expanded in powers of omega; k**4
+            # of a numpy scalar calls the C pow, as Python's does (array powers
+            # round some k apart), and is inf where Python's overflows
+            c[:, 0] = [0.25 * k**4 for k in ks]
+            c[:, 2] = -(1.0 + 0.5 * ks * ks)
+            c[:, 4] = 0.25
+            if params.model is Model.COLLISIONAL:
+                c[:, 1] += 1j * params.gamma
+            elif params.model is Model.RADIATIVE:
+                c[:, 3] += 1j * params.tau
+            else:  # both diffusions
+                c[:, 1].imag = params.diffusion * ks * ks
+                if params.model is Model.DALEMBERT_DIFFUSION:
+                    c[:, 3] += -1j * params.diffusion
+    if not np.isfinite(c).all():
+        k = float(ks[np.argmin(np.isfinite(c).all(axis=1))])
+        raise InputError(f"k = {k!r} overflows the {params.model.value} dispersion polynomial")
+    return c
+
+
 def build_polynomial(params: ModelParams, k: float) -> DispersionPoly:
     """Dispersion polynomial of the model at real wavenumber k >= 0."""
     if not (np.isfinite(k) and k >= 0.0):
         raise InputError(f"k must be finite and >= 0, got {k!r}")
     k = float(k)
-    c = np.zeros(5, dtype=np.complex128)
-    try:
-        if params.model is Model.CONSERVATIVE:
-            # the roots lie near -+k, where the certificates sum |c_j| |w|^j ~ 2 k^2
-            c[0] = -k * k if math.isfinite(2.0 * k * k) else np.inf
-            c[1] = 2.0
-            c[2] = 1.0
-        else:
-            # (1/4)(k^2 - omega^2)^2 - omega^2 expanded in powers of omega
-            c[0] = 0.25 * k**4
-            c[2] = -(1.0 + 0.5 * k * k)
-            c[4] = 0.25
-            if params.model is Model.COLLISIONAL:
-                c[1] += 1j * params.gamma
-            elif params.model is Model.RADIATIVE:
-                c[3] += 1j * params.tau
-            elif params.model is Model.PHASE_DIFFUSION:
-                c[1] += 1j * params.diffusion * k * k
-            elif params.model is Model.DALEMBERT_DIFFUSION:
-                c[1] += 1j * params.diffusion * k * k
-                c[3] += -1j * params.diffusion
-    except OverflowError:  # k**4 beyond the float range
-        c[0] = np.inf
-    if not np.isfinite(c).all():
-        raise InputError(f"k = {k!r} overflows the {params.model.value} dispersion polynomial")
-    return DispersionPoly(coefficients=c, k=k, model=params)
+    return DispersionPoly(coefficients=_coefficients(params, np.array([k]))[0], k=k, model=params)
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,12 @@ class RootSet:
         """Mask over roots that grow in time under the model's convention."""
         if self.model.model is Model.CONSERVATIVE:
             return np.zeros(len(self.roots), dtype=bool)
-        tol = 1e-12 * np.maximum(1.0, np.abs(self.roots))
-        return self.roots.imag < -tol
+        return _growing(self.roots)
+
+
+def _growing(roots: np.ndarray) -> np.ndarray:
+    """Mask over dissipative roots (any shape) with Im w below -1e-12 max(1, |w|)."""
+    return roots.imag < -1e-12 * np.maximum(1.0, np.abs(roots))
 
 
 def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
@@ -245,9 +255,10 @@ def _certificates(coef: np.ndarray, roots: np.ndarray):
     return residuals, sum_dev, prod_dev
 
 
-def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
+def _interpret(coef, raw, tol, residual_tol, vieta_tol):
     """Cluster each row of raw roots (n, deg) at width tol, polish the means
-    and certify them: a RootSet per row, and the mask of certified rows.
+    and certify them: the arrays (roots, residuals, Vieta sum and product
+    deviations, cluster label of each root) and the mask of certified rows.
 
     Root j joins the first cluster whose mean lies within tol * max(1, |w|,
     |mean|) (relative above magnitude 1, so root sets spanning many decades
@@ -299,31 +310,30 @@ def _interpret(polys, coef, raw, tol, residual_tol, vieta_tol):
     # each root takes its cluster's mean; ties sort in cluster order, as the
     # sorted distinct means repeated by multiplicity would
     vals = np.take_along_axis(polished, label, 1)
-    roots = np.take_along_axis(vals, np.lexsort((label, vals.imag, axis_real(vals)), axis=-1), 1)
+    order = np.lexsort((label, vals.imag, axis_real(vals)), axis=-1)
+    roots = np.take_along_axis(vals, order, 1)
     residuals, sum_dev, prod_dev = _certificates(coef, roots)
     ok = (np.all(residuals <= residual_tol, axis=1)
           & (sum_dev <= vieta_tol) & (prod_dev <= vieta_tol))
-    sets, multiple = [], (count.max(axis=1) > 1).tolist()
-    for r, poly in enumerate(polys):
-        unique, mults = roots[r].copy(), (1,) * deg
-        if multiple[r]:
-            unique, mults = polished[r, :made[r]], count[r, :made[r]]
-            order = np.lexsort((unique.imag, axis_real(unique)))
-            unique, mults = unique[order], tuple(map(int, mults[order]))
-        sets.append(RootSet(roots=roots[r], residuals=residuals[r], k=poly.k, model=poly.model,
-                            unique_roots=unique, multiplicities=mults,
-                            vieta_sum_dev=float(sum_dev[r]), vieta_prod_dev=float(prod_dev[r])))
-    return sets, ok
+    return (roots, residuals, sum_dev, prod_dev, np.take_along_axis(label, order, 1)), ok
 
 
-def _solve_stack(
-    polys: list[DispersionPoly],
-    residual_tol: float = RESIDUAL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    vieta_tol: float = VIETA_TOL,
-) -> list[RootSet]:
-    """`solve_roots` of every polynomial, all of one degree, batched by their
-    exact zero roots.  Each row gets the bits of its own one-row solve.
+def _rootset(out, r: int, k: float, model: ModelParams) -> RootSet:
+    """The RootSet of row r of `_interpret`'s arrays out: a cluster's equal
+    roots sit side by side, so its first one is its unique root."""
+    roots, residuals, sum_dev, prod_dev, label = (a[r] for a in out)
+    first = np.flatnonzero(np.diff(label, prepend=-1))
+    return RootSet(roots=roots, residuals=residuals, k=float(k), model=model,
+                   unique_roots=roots[first],
+                   multiplicities=tuple(np.diff(first, append=len(roots)).tolist()),
+                   vieta_sum_dev=float(sum_dev), vieta_prod_dev=float(prod_dev))
+
+
+def _solve_stack(params: ModelParams, ks, coef: np.ndarray, residual_tol: float = RESIDUAL_TOL,
+                 degeneracy_tol: float = DEGENERACY_TOL, vieta_tol: float = VIETA_TOL):
+    """`_interpret`'s arrays for the model's polynomials with ascending
+    coefficients coef (n, 5) at the wavenumbers ks, batched by their exact
+    zero roots.  Each row gets the bits of its own one-row solve.
 
     Near an m-fold root the eigensolver error grows like eps^(1/m), which can
     exceed the nominal clustering width (a coalescing pair split by ~sqrt(eps)
@@ -333,16 +343,13 @@ def _solve_stack(
     by less than the clustering width (phase diffusion at D = 1 and k ~ 1e-3
     splits by ~1e-9) fails Vieta when merged but certifies as two simple roots.
     """
-    deg = polys[0].degree
-    if any(p.degree != deg for p in polys):
-        raise InputError("a root stack takes polynomials of one degree")
-    coef = np.array([p.coefficients for p in polys])
+    deg = 2 if params.model is Model.CONSERVATIVE else 4
     if np.any(coef[:, deg] == 0):
         raise InputError("leading coefficient vanishes")
     # exact zero roots (k = 0 gives a double one) come off symbolically;
     # closed forms take the rest up to degree 2, polished eigenvalues above
     zeros = np.argmax(coef[:, :deg + 1] != 0, axis=1)
-    raw = np.zeros((len(polys), deg), dtype=np.complex128)
+    raw = np.zeros((len(coef), deg), dtype=np.complex128)
     for z in set(zeros.tolist()):  # np.unique would import numpy.ma
         rows = np.flatnonzero(zeros == z)
         rest = coef[rows, z:deg + 1]
@@ -352,27 +359,23 @@ def _solve_stack(
             raw[rows, z:] = [_quadratic_roots(*map(complex, c)) for c in rest]
         elif deg - z == 1:
             raw[rows, z:] = -rest[:, :1] / rest[:, 1:]
-    sets: list[RootSet | None] = [None] * len(polys)
-    live = np.arange(len(polys))
+    out, live = None, np.arange(len(coef))
     for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
-        got, ok = _interpret([polys[r] for r in live.tolist()], coef[live], raw[live],
-                             degeneracy_tol * factor, residual_tol, vieta_tol)
+        got, ok = _interpret(coef[live], raw[live], degeneracy_tol * factor, residual_tol, vieta_tol)
         # a row that never certifies keeps its base interpretation for the error
-        for r, rs, good in zip(live.tolist(), got, ok.tolist()):
-            if good or factor == 1.0:
-                sets[r] = rs
+        out = got if out is None else out
+        for a, g in zip(out, got):
+            a[live[ok]] = g[ok]
         live = live[~ok]
         if not len(live):
-            break
-    if len(live):
-        first = sets[live[0]]
-        err = NumericalFailureError(
-            f"root certification failed at k={first.k}: residuals={first.residuals}, "
-            f"vieta=({first.vieta_sum_dev:.3e}, {first.vieta_prod_dev:.3e})"
-        )
-        err.rootset = first
-        raise err
-    return sets
+            return out
+    first = _rootset(out, live[0], ks[live[0]], params)
+    err = NumericalFailureError(
+        f"root certification failed at k={first.k}: residuals={first.residuals}, "
+        f"vieta=({first.vieta_sum_dev:.3e}, {first.vieta_prod_dev:.3e})"
+    )
+    err.rootset = first
+    raise err
 
 
 def solve_roots(
@@ -384,7 +387,9 @@ def solve_roots(
     """All complex roots with multiplicity, certified by backward-error
     residuals and Vieta checks; raises NumericalFailureError (carrying the
     best-effort roots) when certification fails."""
-    return _solve_stack([poly], residual_tol, degeneracy_tol, vieta_tol)[0]
+    out = _solve_stack(poly.model, [poly.k], poly.coefficients[None], residual_tol,
+                       degeneracy_tol, vieta_tol)
+    return _rootset(out, 0, poly.k, poly.model)
 
 
 @dataclass(frozen=True)
@@ -438,6 +443,8 @@ def _mirror_paired(vals: np.ndarray, tol: float) -> bool:
 _PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 4)}
 #: Halvings of one ambiguous k step before the tracker gives up.
 _BISECT_DEPTH = 12
+#: k points a sweep builds, solves and certifies at a time.
+_BLOCK = 256
 
 
 def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -517,22 +524,30 @@ def _continue(params: ModelParams, k0: float, prev: np.ndarray, k1: float,
 
 
 def track_branches(params: ModelParams, k_grid) -> BranchCurve:
+    """Certified roots over an ascending k grid, solved _BLOCK k at a time into
+    the returned arrays, then matched in place one column after another."""
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or len(k_grid) < 2:
         raise InputError("k_grid must be a 1-D array with at least 2 points")
     if not np.all(np.diff(k_grid) > 0):
         raise InputError("k_grid must be strictly ascending")
 
-    sets = _solve_stack([build_polynomial(params, k) for k in k_grid])
-    deg = len(sets[0].roots)
+    build_polynomial(params, k_grid[0])  # a negative k is an InputError
+    try:
+        deg = build_polynomial(params, k_grid[-1]).degree
+    except InputError:  # name the first k that fails, as building every k in order would
+        _coefficients(params, k_grid[:-1])
+        raise
     branches = np.empty((deg, len(k_grid)), dtype=np.complex128)
     residuals = np.empty((deg, len(k_grid)))
-    branches[:, 0], residuals[:, 0] = sets[0].roots, sets[0].residuals
+    for j in range(0, len(k_grid), _BLOCK):
+        ks = k_grid[j:j + _BLOCK]
+        roots, res = _solve_stack(params, ks, _coefficients(params, ks))[:2]
+        branches[:, j:j + len(ks)], residuals[:, j:j + len(ks)] = roots.T, res.T
     for j in range(1, len(k_grid)):
-        rs = sets[j]
-        perm = _continue(params, k_grid[j - 1], branches[:, j - 1], k_grid[j], rs.roots)
-        branches[:, j] = rs.roots[perm]
-        residuals[:, j] = rs.residuals[perm]
+        perm = _continue(params, k_grid[j - 1], branches[:, j - 1], k_grid[j], branches[:, j])
+        branches[:, j] = branches[perm, j]
+        residuals[:, j] = residuals[perm, j]
 
     w0 = branches[:, 0]
     labels = [OTHER] * deg

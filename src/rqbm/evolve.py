@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import _solve_stack, build_polynomial
+from .dispersion import _coefficients, _growing, _solve_stack
 from .errors import InputError, NumericalFailureError, UnsupportedError
 from .grid import ComplexField, Grid1D
 from .units import Model, ModelParams
@@ -365,14 +365,13 @@ def evolve_density(params: ModelParams, init: DensityModeState, t: float | np.nd
     if times.ndim > 1 or not np.all(np.isfinite(times)):
         raise InputError(f"t must be finite, a scalar or a 1-D array; got {t!r}")
 
-    polys = [build_polynomial(params, float(k)) for k in init.k]
-    growing = [k for k, rs, d in zip(init.k, _solve_stack(polys), init.derivs)
-               if np.any(rs.growing) and np.any(d)]
-    if growing and np.any(times > 0):
+    coef = _coefficients(params, init.k)
+    growing = init.k[_growing(_solve_stack(params, init.k, coef)[0]).any(axis=1)
+                     & init.derivs.any(axis=1)]
+    if len(growing) and np.any(times > 0):
         warnings.warn(f"model {params.model.value} has growing modes at k={growing[0]} "
                       f"(Im omega < 0); the run may diverge", RuntimeWarning, stacklevel=2)
-    coef = np.array([p.coefficients for p in polys])
-    comp = np.tile(np.eye(4, k=1, dtype=np.complex128), (len(polys), 1, 1))
+    comp = np.tile(np.eye(4, k=1, dtype=np.complex128), (len(coef), 1, 1))
     comp[:, 3] = -coef[:, :4] * np.array([1.0, -1j, -1.0, 1j]) / coef[:, 4:]
     # balance by the exact similarity D = diag(1, r, r^2, r^3), r a power of two near k:
     # the last row grows like k^4, the eigenvalues like k, and _expm squares by the norm

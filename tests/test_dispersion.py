@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,64 @@ def test_coefficient_overflow_is_input_error(params, k):
         build_polynomial(params, k)
 
 
+def _scalar_coefficients(params, k: float) -> np.ndarray | None:
+    """The coefficients at one k in CPython's scalar arithmetic (None where
+    one overflows), as the polynomial was built one k at a time."""
+    c = [0j] * 5
+    if params.model is Model.CONSERVATIVE:
+        if not math.isfinite(2.0 * k * k):
+            return None
+        c[:3] = [-k * k, 2.0, 1.0]
+    else:
+        try:
+            c[0] = 0.25 * k**4
+        except OverflowError:
+            return None
+        c[2], c[4] = -(1.0 + 0.5 * k * k), 0.25
+        if params.model is Model.COLLISIONAL:
+            c[1] += 1j * params.gamma
+        elif params.model is Model.RADIATIVE:
+            c[3] += 1j * params.tau
+        else:
+            c[1] += 1j * params.diffusion * k * k
+            if params.model is Model.DALEMBERT_DIFFUSION:
+                c[3] += -1j * params.diffusion
+    c = np.array(c, dtype=np.complex128)
+    return c if np.isfinite(c).all() else None
+
+
+@pytest.mark.parametrize("params", [conservative(), collisional(0.37), radiative(2.5),
+                                    phase_diffusion(1e300), dalembert_diffusion(1.0025)],
+                         ids=lambda p: p.model.value)
+def test_block_coefficients_round_as_scalar_builds(params):
+    # numpy's array k**4 differs from Python's in the last bit for some k
+    rng = np.random.default_rng(5)
+    ks = np.sort(np.concatenate([10 ** rng.uniform(-3, 2, 2000), 10 ** rng.uniform(2, 78, 2000),
+                                 np.linspace(1.1e77, 1.2e77, 200), np.geomspace(9e153, 1e154, 200),
+                                 [0.0, 5e-324]]))
+    want = [_scalar_coefficients(params, k) for k in ks.tolist()]
+    ok = np.array([w is not None for w in want])
+    first = int(np.argmin(ok))
+    assert 0 < first < len(ks) and ok[:first].all() and not ok[first:].any()
+    got = dispersion._coefficients(params, ks[:first])
+    assert got.tobytes() == np.array(want[:first]).tobytes()
+    message = f"k = {float(ks[first])!r} overflows the {params.model.value} dispersion polynomial"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        dispersion._coefficients(params, ks)
+
+
+def test_sweep_names_its_first_overflowing_k():
+    # radiative tau = 1 fails certification below k ~ 2e-7, many blocks before
+    # its first overflowing k; the sweep still reports the overflow, as it did
+    # when it built every k before solving any
+    kg = np.geomspace(1e-40, 1e80, 600)
+    first = next(k for k in kg.tolist() if _scalar_coefficients(radiative(1.0), k) is None)
+    with pytest.raises(InputError, match=f"^k = {re.escape(repr(first))} overflows"):
+        track_branches(radiative(1.0), kg)
+    with pytest.raises(NumericalFailureError, match="^root certification failed at k=1e-40: "):
+        track_branches(radiative(1.0), kg[:300])
+
+
 # ----------------------------------------------------------------- root solve
 
 def test_exact_factorization_collisional_gamma_zero():
@@ -192,6 +251,14 @@ def test_certification_failure_carries_the_base_interpretation():
     assert exc.value.rootset.k == 1.000001
 
 
+def _stack_solves(polys):
+    """The RootSets of one `_solve_stack` call on the quartics polys, which
+    may come from different models: the core reads only their coefficients."""
+    out = dispersion._solve_stack(collisional(1.0), [p.k for p in polys],
+                                  np.array([p.coefficients for p in polys]))
+    return [dispersion._rootset(out, r, p.k, p.model) for r, p in enumerate(polys)]
+
+
 def test_stack_rows_equal_their_own_solves():
     polys = [build_polynomial(p, k) for p, k in [
         (collisional(1.0), 0.3),
@@ -201,7 +268,7 @@ def test_stack_rows_equal_their_own_solves():
         (radiative(1.0), 5.0),
         (dalembert_diffusion(2.0), 40.0),
     ]]
-    stack = dispersion._solve_stack(polys)
+    stack = _stack_solves(polys)
     assert [rs.multiplicities for rs in stack[1:4]] == [(1, 1, 2), (2, 2), (1, 1, 1, 1)]
     w = stack[3].roots
     assert min(abs(a - b) for i, a in enumerate(w) for b in w[i + 1:]) < DEGENERACY_TOL
@@ -409,7 +476,7 @@ def test_mixed_stacks_equal_their_one_row_solves():
     keys = sorted(alone)
     for _ in range(60):
         pick = rng.choice(keys, size=rng.integers(2, 25))
-        for i, got in zip(pick, dispersion._solve_stack([pool[i] for i in pick])):
+        for i, got in zip(pick, _stack_solves([pool[i] for i in pick])):
             want = alone[i]
             for name in ("roots", "residuals", "unique_roots"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -418,9 +485,13 @@ def test_mixed_stacks_equal_their_one_row_solves():
 
 
 def test_stack_of_mixed_degrees_rejected():
-    with pytest.raises(InputError, match="one degree"):
-        dispersion._solve_stack([build_polynomial(collisional(1.0), 0.5),
-                                 build_polynomial(conservative(), 0.5)])
+    # the core reads the degree from its model, so a conservative row in a
+    # collisional stack has a vanishing leading coefficient
+    ks = [0.5, 0.5]
+    coef = np.array([build_polynomial(collisional(1.0), 0.5).coefficients,
+                     build_polynomial(conservative(), 0.5).coefficients])
+    with pytest.raises(InputError, match="leading coefficient vanishes"):
+        dispersion._solve_stack(collisional(1.0), ks, coef)
 
 
 def test_dalembert_quadruple_root_sweep_keeps_its_columns():
@@ -461,7 +532,7 @@ def _sorted_columns(curve, j):
 @pytest.mark.parametrize("make", DISSIPATIVE)
 def test_batched_sweep_equals_per_k_solves(make):
     params = make(0.7)
-    kg = np.geomspace(0.01, 30.0, 500)
+    kg = np.geomspace(0.01, 30.0, 3 * dispersion._BLOCK + 50)
     bc = track_branches(params, kg)
     for j, k in enumerate(kg):
         rs = solve_roots(build_polynomial(params, k))
@@ -504,21 +575,56 @@ def test_random_sweeps_track_without_ambiguity():
         assert bc.branches.shape == (4, len(kg))
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_rounding_cannot_move_branch_columns(monkeypatch, seed):
-    # every polished root moved by a few ulps: each column follows the same
-    # root, and a label moves only between roots whose |w0| tie.  The sweeps
-    # have exactly tied matchings: d'Alembert D = 1 across its quadruple root,
-    # sweeps from k = 0 (where the double zero root splits), and CI's sweeps
-    sweeps = [(dalembert_diffusion(1.0), np.geomspace(0.01, 10.0, 2000)),
+#: Sweeps with exactly tied matchings: d'Alembert D = 1 across its quadruple
+#: root, sweeps from k = 0 (where the double zero root splits), and CI's
+#: bisection sweeps (d'Alembert D = 2, collisional and radiative at 1e-3)
+TIE_SWEEPS = [(dalembert_diffusion(1.0), np.geomspace(0.01, 10.0, 2000)),
               (dalembert_diffusion(1.0), np.linspace(0.5, 1.5, 101)),
               (dalembert_diffusion(1.0025), np.geomspace(0.01, 10.0, 200)),
               (collisional(1.0025), np.linspace(0.0, 5.0, 100)),
               (dalembert_diffusion(2.0), np.geomspace(0.01, 75.0, 50)),
               (collisional(0.001), np.geomspace(0.01, 20.0, 20)),
               (radiative(0.001), np.geomspace(0.01, 40.0, 20))]
-    sweeps += [(make(rate), np.linspace(0.0, 5.0, 100))
+TIE_SWEEPS += [(make(rate), np.linspace(0.0, 5.0, 100))
                for make in DISSIPATIVE for rate in (1e-3, 1.0, 1e3)]
+
+
+def test_block_size_does_not_move_a_sweep(monkeypatch):
+    sweeps = TIE_SWEEPS + [(conservative(), np.linspace(0.0, 5.0, 100)),
+                           (radiative(100.0), np.linspace(0.0, 5.0, 100))]
+    base = [track_branches(params, kg) for params, kg in sweeps]
+    for block in (1, 2, 3):
+        monkeypatch.setattr(dispersion, "_BLOCK", block)
+        for (params, kg), want in zip(sweeps, base):
+            got = track_branches(params, kg)
+            assert got.branches.tobytes() == want.branches.tobytes(), (block, params, kg[0])
+            assert got.residuals.tobytes() == want.residuals.tobytes(), (block, params, kg[0])
+            assert got.labels == want.labels
+
+
+def test_sweep_memory_grows_only_with_its_outputs():
+    # a sweep holds its output arrays (104 B per k with the grid) and one
+    # block of work; about 2.1 kB per k of root objects would show here
+    def peak(n: int):
+        tracemalloc.start()
+        try:
+            bc = track_branches(phase_diffusion(3.0), np.geomspace(0.01, 10.0, n))
+            return (tracemalloc.get_traced_memory()[1],
+                    bc.k_grid.nbytes + bc.branches.nbytes + bc.residuals.nbytes)
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # first-call allocations that later runs reuse
+    (short, out_short), (long, out_long) = peak(20_000), peak(40_000)
+    assert out_long - out_short == 104 * 20_000
+    assert long - short <= 1.5 * (out_long - out_short), (short, long)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rounding_cannot_move_branch_columns(monkeypatch, seed):
+    # every polished root moved by a few ulps: each column follows the same
+    # root, and a label moves only between roots whose |w0| tie
+    sweeps = TIE_SWEEPS
     base = [track_branches(params, kg) for params, kg in sweeps]
     rng = np.random.default_rng(seed)
     newton = dispersion._newton
@@ -551,6 +657,21 @@ def test_bisection_gives_up_past_its_depth(monkeypatch):
     assert "relative gap" in message and "12 halvings" in message
     low, high = (float(v) for v in re.findall(r"k = (\S+?)(?: and|,? after)", message))
     assert 1.0 <= low < high <= 2.0 and high / low == pytest.approx(2.0 ** (1 / 4096))
+
+
+def test_certification_failure_is_reported_before_an_ambiguous_step(monkeypatch):
+    # every k is solved and certified before any step is matched, so a k that
+    # fails certification blocks after the first step still names the failure
+    # (exit 3), not the first step's ambiguity (an input error, exit 2)
+    def always_ambiguous(prev, new):
+        raise AmbiguousBranchError("branch matching ambiguous: relative gap 1.00e-02")
+
+    monkeypatch.setattr(dispersion, "_match", always_ambiguous)
+    kg = np.append(np.linspace(0.5, 0.99, 2 * dispersion._BLOCK), 0.9999999)
+    with pytest.raises(NumericalFailureError, match="^root certification failed at k=0.9999999: "):
+        track_branches(dalembert_diffusion(1.0), kg)
+    with pytest.raises(AmbiguousBranchError, match="12 halvings"):
+        track_branches(dalembert_diffusion(1.0), kg[:-1])
 
 
 # ------------------------------------------------- friction equivalences
