@@ -280,7 +280,6 @@ COMMON = [
                           "flags override it"),
     ("out", str, REQUIRED, "output path (directory for evolve)"),
     ("format", ("csv", "json"), "csv", "output format"),
-    ("seed", int, None, "seed for randomized sweeps (reserved; runs are deterministic)"),
 ]
 
 
@@ -758,11 +757,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            cfg = _resolve(args, args.options)
-            if cfg["seed"] is not None:
-                log.info("seed = %d (reserved for randomized sweeps; built-in runs are "
-                         "deterministic)", cfg["seed"])
-            return args.func(cfg)
+            return args.func(_resolve(args, args.options))
     except InputError as exc:
         print(f"rqbm: input error: {exc}", file=sys.stderr)
         return 2

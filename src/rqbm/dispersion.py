@@ -128,7 +128,7 @@ def _coefficients(params: ModelParams, ks: np.ndarray) -> np.ndarray:
 def build_polynomial(params: ModelParams, k: float) -> DispersionPoly:
     """Dispersion polynomial of the model at real wavenumber k >= 0."""
     if not (np.isfinite(k) and k >= 0.0):
-        raise InputError(f"k must be finite and >= 0, got {k!r}")
+        raise InputError(f"k must be finite and >= 0, got {float(k)!r}")
     k = float(k)
     return DispersionPoly(coefficients=_coefficients(params, np.array([k]))[0], k=k, model=params)
 
@@ -255,7 +255,7 @@ def _certificates(coef: np.ndarray, roots: np.ndarray):
     return residuals, sum_dev, prod_dev
 
 
-def _interpret(coef, raw, tol, residual_tol, vieta_tol):
+def _interpret(coef, raw, tol):
     """Cluster each row of raw roots (n, deg) at width tol, polish the means
     and certify them: the arrays (roots, residuals, Vieta sum and product
     deviations, cluster label of each root) and the mask of certified rows.
@@ -313,8 +313,8 @@ def _interpret(coef, raw, tol, residual_tol, vieta_tol):
     order = np.lexsort((label, vals.imag, axis_real(vals)), axis=-1)
     roots = np.take_along_axis(vals, order, 1)
     residuals, sum_dev, prod_dev = _certificates(coef, roots)
-    ok = (np.all(residuals <= residual_tol, axis=1)
-          & (sum_dev <= vieta_tol) & (prod_dev <= vieta_tol))
+    ok = (np.all(residuals <= RESIDUAL_TOL, axis=1)
+          & (sum_dev <= VIETA_TOL) & (prod_dev <= VIETA_TOL))
     return (roots, residuals, sum_dev, prod_dev, np.take_along_axis(label, order, 1)), ok
 
 
@@ -329,8 +329,7 @@ def _rootset(out, r: int, k: float, model: ModelParams) -> RootSet:
                    vieta_sum_dev=float(sum_dev), vieta_prod_dev=float(prod_dev))
 
 
-def _solve_stack(params: ModelParams, ks, coef: np.ndarray, residual_tol: float = RESIDUAL_TOL,
-                 degeneracy_tol: float = DEGENERACY_TOL, vieta_tol: float = VIETA_TOL):
+def _solve_stack(params: ModelParams, ks, coef: np.ndarray):
     """`_interpret`'s arrays for the model's polynomials with ascending
     coefficients coef (n, 5) at the wavenumbers ks, batched by their exact
     zero roots.  Each row gets the bits of its own one-row solve.
@@ -361,7 +360,7 @@ def _solve_stack(params: ModelParams, ks, coef: np.ndarray, residual_tol: float 
             raw[rows, z:] = -rest[:, :1] / rest[:, 1:]
     out, live = None, np.arange(len(coef))
     for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
-        got, ok = _interpret(coef[live], raw[live], degeneracy_tol * factor, residual_tol, vieta_tol)
+        got, ok = _interpret(coef[live], raw[live], DEGENERACY_TOL * factor)
         # a row that never certifies keeps its base interpretation for the error
         out = got if out is None else out
         for a, g in zip(out, got):
@@ -378,17 +377,11 @@ def _solve_stack(params: ModelParams, ks, coef: np.ndarray, residual_tol: float 
     raise err
 
 
-def solve_roots(
-    poly: DispersionPoly,
-    residual_tol: float = RESIDUAL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    vieta_tol: float = VIETA_TOL,
-) -> RootSet:
+def solve_roots(poly: DispersionPoly) -> RootSet:
     """All complex roots with multiplicity, certified by backward-error
-    residuals and Vieta checks; raises NumericalFailureError (carrying the
-    best-effort roots) when certification fails."""
-    out = _solve_stack(poly.model, [poly.k], poly.coefficients[None], residual_tol,
-                       degeneracy_tol, vieta_tol)
+    residuals and Vieta checks at the module's thresholds; raises
+    NumericalFailureError (carrying the best-effort roots) when that fails."""
+    out = _solve_stack(poly.model, [poly.k], poly.coefficients[None])
     return _rootset(out, 0, poly.k, poly.model)
 
 
@@ -414,37 +407,21 @@ class BranchCurve:
         return self.branch(HYDRODYNAMIC)
 
 
-def _mirror_paired(vals: np.ndarray, tol: float) -> bool:
-    """True when vals is closed under w -> -conj(w) with a fixed-point-free
-    pairing, i.e. it consists entirely of off-axis mirror pairs."""
-    n = len(vals)
-    if n % 2 != 0:
-        return False
-    unused = list(range(n))
-    for i in range(n):
-        if i not in unused:
-            continue
-        target = -np.conj(vals[i])
-        jbest, dbest = None, tol
-        for j in unused:
-            if j == i:
-                continue
-            d = abs(vals[j] - target)
-            if d <= dbest:
-                jbest, dbest = j, d
-        if jbest is None:
-            return False
-        unused.remove(i)
-        unused.remove(jbest)
-    return True
-
-
 #: Every permutation of range(n), one per row, for the root counts in use.
 _PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 4)}
+#: The pairings of range(n) into twins: the fixed-point-free involutions.
+_PAIRINGS = {n: [p for p in perms if np.all(p[p] == np.arange(n)) and np.all(p != np.arange(n))]
+             for n, perms in _PERMS.items()}
 #: Halvings of one ambiguous k step before the tracker gives up.
 _BISECT_DEPTH = 12
 #: k points a sweep builds, solves and certifies at a time.
 _BLOCK = 256
+
+
+def _mirror_paired(vals: np.ndarray, tol: float) -> bool:
+    """True when some pairing of vals into twins maps each w to -conj(w)
+    within tol: vals is all off-axis mirror pairs (an odd count never is)."""
+    return any(np.all(np.abs(vals[p] + np.conj(vals)) <= tol) for p in _PAIRINGS.get(len(vals), ()))
 
 
 def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -612,7 +589,7 @@ def asymptotic_omega_candidates(params: ModelParams, k: float, regime: str) -> t
     if regime not in ("low", "high"):
         raise InputError(f"regime must be 'low' or 'high', got {regime!r}")
     if not (np.isfinite(k) and k >= 0.0):
-        raise InputError(f"k must be finite and >= 0, got {k!r}")
+        raise InputError(f"k must be finite and >= 0, got {float(k)!r}")
     m, rate = params.model, params.rate
     if m is not Model.CONSERVATIVE and rate == 0.0:
         raise UnsupportedRegimeError(f"{m.value} asymptote needs a positive rate")

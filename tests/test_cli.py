@@ -75,7 +75,7 @@ class TestDispersionCommand:
         args = ("dispersion", "--model", "phase-diffusion", "--diffusion", "1.0",
                 "--k-steps", "25")
         assert run(*args, "--out", a).returncode == 0
-        assert run(*args, "--out", b, "--seed", "7").returncode == 0
+        assert run(*args, "--out", b).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_mirror(self, tmp_path):
@@ -110,6 +110,18 @@ class TestDispersionCommand:
         r = run("dispersion", "--config", cfgfile, "--out", tmp_path / "x.csv")
         assert r.returncode == 2
         assert "k-stepz" in r.stderr
+
+    def test_seed_is_not_an_option(self, tmp_path):
+        r = run("dispersion", "--model", "conservative", "--out", tmp_path / "x.csv",
+                "--seed", "7")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --seed 7" in r.stderr
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text("model: conservative\nseed: 7\n")
+        r = run("dispersion", "--config", cfgfile, "--out", tmp_path / "x.csv")
+        assert r.returncode == 2
+        assert "unknown config key 'seed'" in r.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_mismatched_rate_is_input_error(self, tmp_path):
         r = run("dispersion", "--model", "radiative", "--tau", "1.0",

@@ -17,6 +17,7 @@ from rqbm.dispersion import (
     BranchCurve,
     DispersionPoly,
     _match,
+    _mirror_paired,
     asymptotic_omega,
     asymptotic_omega_candidates,
     build_polynomial,
@@ -321,6 +322,14 @@ def test_track_branches_validation():
         track_branches(conservative(), [1.0, 0.5])
 
 
+def test_negative_k_is_named_as_a_plain_float():
+    # a grid's k are numpy scalars, whose repr would read np.float64(-1.0)
+    with pytest.raises(InputError, match=r"^k must be finite and >= 0, got -1\.0$"):
+        track_branches(collisional(1.0), [-1.0, 1.0])
+    with pytest.raises(InputError, match=r"^k must be finite and >= 0, got -1\.0$"):
+        asymptotic_omega_candidates(collisional(1.0), np.float64(-1.0), "low")
+
+
 def test_labels_stable_under_grid_refinement():
     coarse = track_branches(collisional(1.0), np.geomspace(0.01, 10.0, 80))
     fine = track_branches(collisional(1.0), np.geomspace(0.01, 10.0, 240))
@@ -374,6 +383,18 @@ def test_match_tolerates_degenerate_parent_split():
     new = np.array([0.1 + 0.5j, -0.1 + 0.5j])
     out = new[_match(prev, new)]     # either assignment is acceptable
     assert set(np.round(out, 12)) == set(np.round(new, 12))
+
+
+def test_mirror_exemption_accepts_any_pairing_into_twins():
+    # w0 mirrors w1 best, but only the pairing (0, 2)(1, 3) leaves no root
+    # unpaired: a greedy nearest-twin pass takes w1 for w0 and strands w2, w3
+    t = 1e-7
+    v = np.array([1 + 1j, -1 + 1j - 0.2 * t, -1 + 1j + 0.9 * t, 1 + 1j + 0.8 * t])
+    assert _mirror_paired(v, t)
+    assert not _mirror_paired(v[:3], t)                # an odd count has no pairing
+    assert not _mirror_paired(np.array([1j]), t)       # an on-axis singleton mirrors itself
+    assert not _mirror_paired(np.array([1j, 2j]), t)
+    assert not _mirror_paired(v, 0.5 * t)
 
 
 def test_phase_diffusion_default_sweep_tracks():
