@@ -406,7 +406,7 @@ def _run_dispersion(cfg: dict) -> int:
     _check_out_file(cfg["out"])
     params = _model_params(cfg)
     k_min, k_max, k_steps = cfg["k_min"], cfg["k_max"], cfg["k_steps"]
-    if k_steps is None or k_steps < 2:
+    if k_steps < 2:
         raise InputError("--k-steps must be an integer >= 2")
     if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 <= k_min < k_max):
         raise InputError(f"need 0 <= k-min < k-max, got [{k_min}, {k_max}]")
@@ -495,13 +495,14 @@ def _run_evolve(cfg: dict) -> int:
         except OSError as exc:
             raise InputError(f"cannot create --out directory {outdir}: {exc.strerror}") from exc
 
+    econf = EvolutionConfig(dt=dt, steps=steps, method=cfg["method"].replace("-", "_"),
+                            snapshot_stride=stride)
     if cfg["density"]:
         if params.model is Model.CONSERVATIVE:
             raise InputError("--density needs a dissipative model")
         k = cfg["k"]
-        if k is None or not (np.isfinite(k) and k >= 0):
+        if not (np.isfinite(k) and k >= 0):
             raise InputError(f"--k must be finite and >= 0, got {k!r}")
-        EvolutionConfig(dt=dt, steps=steps, snapshot_stride=stride)  # validates all three
         make_outdir()
         init = DensityModeState(k=np.array([k]), derivs=np.array([[1.0, 0.0, 0.0, 0.0]]))
         ts = np.arange(steps // stride + 1) * stride * dt
@@ -527,9 +528,6 @@ def _run_evolve(cfg: dict) -> int:
         psi = plane_wave(grid, cfg["mode_k"], cfg["amplitude"])
     else:
         psi = ComplexField(grid, np.zeros(grid.n, dtype=np.complex128))
-
-    econf = EvolutionConfig(dt=dt, steps=steps, method=cfg["method"].replace("-", "_"),
-                            snapshot_stride=stride)
 
     potential = None
     if cfg["potential"] == "harmonic":

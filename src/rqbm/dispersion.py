@@ -164,25 +164,6 @@ def _growing(roots: np.ndarray) -> np.ndarray:
     return roots.imag < -1e-12 * np.maximum(1.0, np.abs(roots))
 
 
-def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
-    """Numerically stable roots of c2 w^2 + c1 w + c0 (c2 != 0)."""
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if not (math.isfinite(disc.real) and math.isfinite(disc.imag)):
-        # the roots of s P are those of P: a power of two s, which scales
-        # exactly, brings c1^2 and 4 c2 c0 below 1
-        e0, e1, e2 = (math.frexp(abs(c))[1] for c in (c0, c1, c2))
-        s = math.ldexp(1.0, -((max(2 * e1, e0 + e2 + 2) + 1) // 2))
-        c0, c1, c2 = c0 * s, c1 * s, c2 * s
-        disc = c1 * c1 - 4.0 * c2 * c0
-    r = np.sqrt(complex(disc))
-    # pick the sign that avoids cancellation in c1 + s*r
-    s = 1.0 if (c1.real * r.real + c1.imag * r.imag) >= 0.0 else -1.0
-    q = -0.5 * (c1 + s * r)
-    if q == 0:
-        return [0.0 + 0.0j, 0.0 + 0.0j]
-    return [q / c2, c0 / q]
-
-
 def _deriv_coef(coef: np.ndarray, order: int) -> np.ndarray:
     """Ascending coefficients of the order-th derivative (of each row)."""
     c = np.asarray(coef, dtype=np.complex128)
@@ -201,10 +182,10 @@ def _newton(coef: np.ndarray, w: np.ndarray, iters: int, reach=np.inf) -> np.nda
     length, so a row's bits do not depend on the stack it is polished in."""
     cols = coef.T[:, :, None]
     dcols = _deriv_coef(coef, 1).T[:, :, None]
-    start, best, pw = w, w, _horner(cols, w)
-    best_res = np.abs(pw)
     live = np.ones(w.shape, dtype=bool)
     with np.errstate(all="ignore"):
+        start, best, pw = w, w, _horner(cols, w)
+        best_res = np.abs(pw)
         for _ in range(iters):
             d = _horner(dcols, w)
             live &= ~(np.abs(d) < 1e-300)
@@ -238,20 +219,23 @@ def _certificates(coef: np.ndarray, roots: np.ndarray):
     of sorted root rows roots (n, deg) of the polynomials coef (n, 5)."""
     deg = roots.shape[1]
     cols = coef.T[:, :, None]
-    denom = _horner(np.abs(cols), np.abs(roots))
-    pvals = np.abs(_horner(cols, roots))
-    residuals = np.where(denom > 0, pvals / np.where(denom > 0, denom, 1.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = _horner(np.abs(cols), np.abs(roots))
+        pvals = np.abs(_horner(cols, roots))
+        residuals = np.where(denom > 0, pvals / np.where(denom > 0, denom, 1.0), 0.0)
+        # |P| / inf reads 0 without checking anything: such a row fails
+        residuals[~np.isfinite(denom).all(axis=1)] = np.inf
 
-    # Vieta: sum against -c_{d-1}/c_d, product against (+/-)c_0/c_d
-    lead = coef[:, deg]
-    sum_target = -coef[:, deg - 1] / lead
-    prod_target = coef[:, 0] / lead * (1 if deg % 2 == 0 else -1)
-    sum_dev = np.abs(roots.sum(axis=1) - sum_target) / np.maximum(
-        np.maximum(np.abs(sum_target), np.abs(roots).sum(axis=1)), 1e-300
-    )
-    prod_dev = np.abs(np.prod(roots, axis=1) - prod_target) / np.maximum(
-        np.maximum(np.abs(prod_target), np.prod(np.abs(roots), axis=1)), 1e-300
-    )
+        # Vieta: sum against -c_{d-1}/c_d, product against (+/-)c_0/c_d
+        lead = coef[:, deg]
+        sum_target = -coef[:, deg - 1] / lead
+        prod_target = coef[:, 0] / lead * (1 if deg % 2 == 0 else -1)
+        sum_dev = np.abs(roots.sum(axis=1) - sum_target) / np.maximum(
+            np.maximum(np.abs(sum_target), np.abs(roots).sum(axis=1)), 1e-300
+        )
+        prod_dev = np.abs(np.prod(roots, axis=1) - prod_target) / np.maximum(
+            np.maximum(np.abs(prod_target), np.prod(np.abs(roots), axis=1)), 1e-300
+        )
     return residuals, sum_dev, prod_dev
 
 
@@ -346,18 +330,13 @@ def _solve_stack(params: ModelParams, ks, coef: np.ndarray):
     if np.any(coef[:, deg] == 0):
         raise InputError("leading coefficient vanishes")
     # exact zero roots (k = 0 gives a double one) come off symbolically;
-    # closed forms take the rest up to degree 2, polished eigenvalues above
+    # polished companion eigenvalues take the rest, at any degree (a bare
+    # c_deg w^deg has no rest)
     zeros = np.argmax(coef[:, :deg + 1] != 0, axis=1)
     raw = np.zeros((len(coef), deg), dtype=np.complex128)
-    for z in set(zeros.tolist()):  # np.unique would import numpy.ma
+    for z in set(zeros.tolist()) - {deg}:  # np.unique would import numpy.ma
         rows = np.flatnonzero(zeros == z)
-        rest = coef[rows, z:deg + 1]
-        if deg - z > 2:
-            raw[rows, z:] = _newton(coef[rows], _companion_roots(rest), 3)
-        elif deg - z == 2:
-            raw[rows, z:] = [_quadratic_roots(*map(complex, c)) for c in rest]
-        elif deg - z == 1:
-            raw[rows, z:] = -rest[:, :1] / rest[:, 1:]
+        raw[rows, z:] = _newton(coef[rows], _companion_roots(coef[rows, z:deg + 1]), 3)
     out, live = None, np.arange(len(coef))
     for factor in (1.0, 10.0, 100.0, 1e3, 1e4, 0.0):
         got, ok = _interpret(coef[live], raw[live], DEGENERACY_TOL * factor)

@@ -16,6 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import InputError
+
 # CODATA 2018
 HBAR = 1.054571817e-34        # J s
 C_LIGHT = 299792458.0         # m / s, exact
@@ -78,8 +80,6 @@ class UnitScales:
 
 
 def from_particle(mass_kg: float) -> UnitScales:
-    from .errors import InputError
-
     if not (mass_kg > 0.0 and math.isfinite(mass_kg)):
         raise InputError(f"mass must be positive and finite, got {mass_kg!r}")
     return UnitScales(mass=mass_kg)
@@ -149,8 +149,6 @@ class ModelParams:
     diffusion: float | None = None
 
     def __post_init__(self) -> None:
-        from .errors import InputError
-
         if not isinstance(self.model, Model):
             raise InputError(f"model must be a Model enum member, got {self.model!r}")
         want = _RATE_FIELD.get(self.model)
@@ -197,8 +195,6 @@ def dalembert_diffusion(diffusion: float) -> ModelParams:
 
 def make_params(model: Model, rate: float | None) -> ModelParams:
     """Build ModelParams from a model tag and a bare rate number."""
-    from .errors import InputError
-
     if model is Model.CONSERVATIVE:
         if rate not in (None, 0, 0.0):
             raise InputError("conservative model takes no rate constant")
@@ -209,8 +205,6 @@ def make_params(model: Model, rate: float | None) -> ModelParams:
 
 
 def model_from_name(name: str) -> Model:
-    from .errors import InputError
-
     key = name.strip().lower().replace("_", "-")
     for m in Model:
         if m.value == key:

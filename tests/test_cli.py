@@ -172,6 +172,16 @@ class TestDispersionCommand:
                for line in lines[1:]]
         assert len(res) == 20 and max(map(max, res)) <= 1e-10
 
+    def test_overflowing_certificate_fails_with_one_line(self, tmp_path):
+        # sum_j |c_j| |w|^j overflows at tau = 1e200: no root is certified, and
+        # the run says so without a numpy warning
+        r = run("dispersion", "--model", "radiative", "--tau", "1e200", "--k-min", "0.1",
+                "--k-max", "1", "--k-steps", "3", "--out", tmp_path / "x.csv")
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        assert lines[0].startswith("rqbm: numerical failure: root certification failed at k=0.1")
+
 
 @pytest.fixture
 def no_child_left():

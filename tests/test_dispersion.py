@@ -252,6 +252,20 @@ def test_certification_failure_carries_the_base_interpretation():
     assert exc.value.rootset.k == 1.000001
 
 
+@pytest.mark.parametrize("params,k", [
+    (radiative(1e200), 0.1),
+    (radiative(1e100), 0.0),
+    (dalembert_diffusion(1e100), 0.0),
+])
+def test_overflowing_certificate_scale_is_not_a_pass(params, k):
+    # a root of size 4 times the rate overflows sum_j |c_j| |w|^j, where
+    # |P| / inf = 0 would pass a check that never ran; the row fails, and
+    # numpy says nothing of the overflow (a RuntimeWarning fails the test)
+    with pytest.raises(NumericalFailureError) as exc:
+        solve_roots(build_polynomial(params, k))
+    assert np.all(exc.value.rootset.residuals == np.inf)
+
+
 def _stack_solves(polys):
     """The RootSets of one `_solve_stack` call on the quartics polys, which
     may come from different models: the core reads only their coefficients."""
@@ -421,8 +435,11 @@ def _exact_roots(poly):
 
 
 def test_simple_roots_match_mpmath():
-    # every simple root lies within a few eps of the exact root of the
-    # polynomial its coefficients define
+    # every simple nonzero root lies within a few eps of the exact root of
+    # the polynomial its coefficients define (the conservative one's k^2 is
+    # exact there)
+    mpmath = pytest.importorskip("mpmath")
+
     rng = np.random.default_rng(7)
     tag = collisional(1.0)
     polys = [
@@ -432,15 +449,26 @@ def test_simple_roots_match_mpmath():
     ]
     polys += [build_polynomial(make(rate), k) for make in DISSIPATIVE
               for rate in (0.01, 0.5, 30.0) for k in np.geomspace(0.02, 20.0, 25)]
+    # k = 0 rows: an exact double zero beside two simple roots
+    polys += [build_polynomial(make(rate), 0.0) for make in (radiative, dalembert_diffusion)
+              for rate in (0.01, 0.5, 2.0, 30.0, 1e50)]
+    polys += [build_polynomial(conservative(), k)
+              for k in np.concatenate([[0.0], np.geomspace(1e-150, 9.4e153, 200)])]
     checked = 0
     for poly in polys:
         rs = solve_roots(poly)
-        if rs.multiplicities == (1, 1, 1, 1):
+        if poly.degree == 2:
+            with mpmath.workdps(60):  # -1 -+ sqrt(1 + k^2), the small one without cancellation
+                k2 = mpmath.mpf(poly.k) ** 2
+                s = mpmath.sqrt(1 + k2)
+                exact = np.array([complex(-1 - s), complex(k2 / (1 + s))])
+        else:
             exact = np.array([complex(r) for r in _exact_roots(poly)])
-            for w in rs.roots:
+        for w, mult in zip(rs.unique_roots, rs.multiplicities):
+            if mult == 1 and w != 0:
                 assert np.abs(exact - w).min() <= 8 * EPS * max(1.0, abs(w)), (poly, w)
-            checked += 1
-    assert checked >= 500
+                checked += 1
+    assert checked >= 4 * 500 + 2 * 10 + 2 * 200 + 1
 
 
 def test_multiple_roots_match_mpmath():
