@@ -6,26 +6,38 @@ import os
 import sys
 
 
-def run() -> int:
-    """Run `rqbm.cli.main` on `sys.argv` as the whole process, and end it with `os._exit`.
+def _import_cli_frozen():
+    """`rqbm.cli`, imported with the GC paused, and what the import built frozen.
 
-    An int `SystemExit` from argparse (--help, --version, usage errors) is the
-    return code.  Any other exception, another `SystemExit` and a failed flush
-    (a closed pipe) leave through the interpreter's normal exit.
+    The ~35k objects the import builds live until exit, so collecting them is
+    waste.  The parser's cyclic garbage is collected first, so it is not frozen.
     """
-    # the ~35k objects the import builds live until exit, so collecting them is waste,
-    # and so is teardown once main has closed every output and reaped the writer child
+    gc.collect(1)
     gc.disable()
-    from .cli import main
+    from . import cli
 
     gc.freeze()
     gc.enable()
+    return cli
+
+
+def run() -> int:
+    """Run `rqbm._options.main` on `sys.argv` as the whole process, and end it with `os._exit`.
+
+    An int `SystemExit` from argparse (--help, --version, usage errors) is the
+    return code; it leaves before numpy is imported.  Any other exception,
+    another `SystemExit` and a failed flush (a closed pipe) leave through the
+    interpreter's normal exit.
+    """
+    from ._options import main
+
     try:
-        rc = main()
+        rc = main(import_cli=_import_cli_frozen)
     except SystemExit as exc:
         if not isinstance(exc.code, int):
             raise
         rc = exc.code
+    # teardown is waste once main has closed every output and reaped the writer child
     try:
         logging.shutdown()
         sys.stdout.flush()

@@ -181,9 +181,9 @@ def _newton(coef: np.ndarray, w: np.ndarray, iters: int, reach=np.inf) -> np.nda
     different root.  numpy rounds an array element alike at any array
     length, so a row's bits do not depend on the stack it is polished in."""
     cols = coef.T[:, :, None]
-    dcols = _deriv_coef(coef, 1).T[:, :, None]
     live = np.ones(w.shape, dtype=bool)
     with np.errstate(all="ignore"):
+        dcols = _deriv_coef(coef, 1).T[:, :, None]
         start, best, pw = w, w, _horner(cols, w)
         best_res = np.abs(pw)
         for _ in range(iters):
@@ -205,13 +205,20 @@ def _companion_roots(coef: np.ndarray) -> np.ndarray:
     """Roots of each row of an (n, d + 1) ascending coefficient stack whose
     end coefficients are nonzero: the eigenvalues of the companion matrices
     np.roots builds, in one batched call.  Each row is backward stable on
-    its own (Edelman & Murakami, Math. Comp. 64, 1995)."""
+    its own (Edelman & Murakami, Math. Comp. 64, 1995).  A row whose
+    companion is not finite (a coefficient over the leading one overflows)
+    gets NaN roots, which fail its certificates."""
     p = coef[:, ::-1]
     d = p.shape[1] - 1
-    a = np.zeros((len(p), d, d), dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        top = -p[:, 1:] / p[:, :1]
+    finite = np.isfinite(top).all(axis=1)
+    a = np.zeros((np.count_nonzero(finite), d, d), dtype=np.complex128)
     a[:, 1:, :-1] = np.eye(d - 1)
-    a[:, 0, :] = -p[:, 1:] / p[:, :1]
-    return np.linalg.eigvals(a)
+    a[:, 0, :] = top[finite]
+    roots = np.full((len(p), d), np.nan, dtype=np.complex128)
+    roots[finite] = np.linalg.eigvals(a)
+    return roots
 
 
 def _certificates(coef: np.ndarray, roots: np.ndarray):

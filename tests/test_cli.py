@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from rqbm import cli
+from rqbm import _options, cli
 from rqbm.cli import _write_table
+from rqbm.errors import InputError
 from rqbm.evolve import EvolutionConfig, evolve_field, gaussian_packet, particle_branch_project
 from rqbm.grid import ComplexField, Grid1D
 from rqbm.madelung import decompose, quantum_potential, residuals
@@ -181,6 +182,20 @@ class TestDispersionCommand:
         lines = r.stderr.splitlines()
         assert len(lines) == 1, r.stderr
         assert lines[0].startswith("rqbm: numerical failure: root certification failed at k=0.1")
+
+    @pytest.mark.parametrize("argv,k", [
+        (["dispersion", "--model", "collisional", "--gamma", "1e308", "--k-steps", "3"], "0.01"),
+        (["evolve", "--density", "--model", "radiative", "--tau", "1e308"], "0.1"),
+    ], ids=["dispersion", "density"])
+    def test_overflowing_companion_fails_with_one_line(self, tmp_path, argv, k):
+        # a rate near the float limit overflows c_j / c_4 in the companion
+        # matrix: the row's roots are not certified, and no numpy warning
+        # or LinAlgError reaches the user
+        r = run(*argv, "--out", tmp_path / "out")
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        assert lines[0].startswith(f"rqbm: numerical failure: root certification failed at k={k}:")
 
 
 @pytest.fixture
@@ -626,11 +641,45 @@ class TestSpectrumCommand:
         assert np.max(np.abs(eps - ref)) <= np.finfo(float).eps * norm
 
 
+USAGE = "usage: rqbm [-h] [--version] {dispersion,evolve,madelung,spectrum} ...\n"
+
+
+def subcommand_help(capsys, command):
+    """What `rqbm <command> --help` prints, from this process's parser."""
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    return capsys.readouterr().out
+
+
 class TestTopLevel:
     def test_version_flag(self):
         r = run("--version")
         assert r.returncode == 0
         assert r.stdout.strip().startswith("rqbm ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["--help"], ["dispersion", "--help"], ["--no-such-flag"],
+    ], ids=["version", "help", "dispersion-help", "usage-error"])
+    def test_front_end_exits_without_numpy(self, capsys, monkeypatch, argv):
+        # a None entry in sys.modules makes every `import numpy` fail
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "sys.argv[0] = 'rqbm'\n"
+                "from rqbm.__main__ import run\n"
+                "run()\n")
+        r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                           text=True, env=buffered_env())
+        monkeypatch.setenv("COLUMNS", "80")
+        if argv == ["--version"]:
+            want = (0, "rqbm 0.1.0\n", "")
+        elif argv == ["--help"]:
+            want = (0, cli.build_parser().format_help(), "")
+        elif argv == ["dispersion", "--help"]:
+            want = (0, subcommand_help(capsys, "dispersion"), "")
+            assert want[1].startswith("usage: rqbm dispersion [-h]")
+        else:
+            want = (2, "", USAGE + "rqbm: error: the following arguments are required: command\n")
+        assert (r.returncode, r.stdout, r.stderr) == want
 
     def test_cli_import_leaves_scipy_unloaded(self):
         r = subprocess.run(
@@ -788,14 +837,36 @@ class TestProcessEntry:
         assert entry.returncode != 0 and "BrokenPipeError" in entry.stderr
         assert (entry.returncode, entry.stderr) == (normal.returncode, normal.stderr)
 
-    def test_importing_runs_nothing(self):
+    def test_importing_runs_nothing(self, tmp_path):
         code = ("import gc, sys\n"
                 "import rqbm.__main__\n"
-                "loaded = 'rqbm.cli' in sys.modules\n"
+                "loaded = 'rqbm.cli' in sys.modules or 'rqbm._options' in sys.modules\n"
                 "import rqbm.cli\n"
                 "print(loaded, gc.isenabled(), gc.get_freeze_count())\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (r.returncode, r.stdout, r.stderr) == (0, "False True 0\n", "")
+        # the process imports rqbm.cli once argv has parsed and freezes it before
+        # the runner starts; a library call of cli.main leaves the GC alone
+        argv = ["dispersion", "--model", "conservative", "--k-steps", "2", "--out", "x.csv"]
+        entry = ("import gc, sys\n"
+                 "import rqbm.dispersion as d\n"
+                 "track = d.track_branches\n"
+                 "def traced(*args):\n"
+                 "    print('rqbm.cli' in sys.modules, gc.get_freeze_count() > 0, gc.isenabled())\n"
+                 "    return track(*args)\n"
+                 "d.track_branches = traced\n"
+                 "sys.argv[0] = 'rqbm'\n"
+                 "from rqbm.__main__ import run\n"
+                 "run()\n")
+        library = ("import gc, sys\n"
+                   "from rqbm import cli\n"
+                   "assert cli.main(sys.argv[1:]) == 0\n"
+                   "print(gc.get_freeze_count(), gc.isenabled())\n")
+        got = [subprocess.run([sys.executable, "-c", c, *argv], capture_output=True, text=True,
+                              cwd=tmp_path, env=buffered_env())
+               for c in (entry, library)]
+        assert [(r.returncode, r.stdout, r.stderr) for r in got] == [
+            (0, "True True True\n", ""), (0, "0 True\n", "")]
 
 
 def env_with_blas_threads(threads):
@@ -887,7 +958,41 @@ CONFIG_ERRORS = [
 ]
 
 
+COERCE_ERRORS = [
+    ("n", int, 256, None, "--n expects a value, got null"),
+    ("density", _options.SWITCH, False, "no", "--density expects true or false, got 'no'"),
+    ("density", _options.SWITCH, False, 1, "--density expects true or false, got 1"),
+    ("n", int, 256, True, "--n expects an integer, got True"),
+    ("n", int, 256, "+-64", "--n expects an integer, got '+-64'"),
+    ("n", int, 256, 1.5, "--n expects an integer, got 1.5"),
+    ("n", int, 256, "64.0", "--n expects an integer, got '64.0'"),
+    ("format", ("csv", "json"), "csv", "xml", "--format must be one of csv, json; got 'xml'"),
+    ("snapshots", _options.PATHS, _options.REQUIRED, ["a", "b"],
+     "--snapshots takes exactly three paths"),
+    ("k-min", float, 0.01, "small", "--k-min expects a number, got 'small'"),
+    ("k-min", float, 0.01, [1.0], "--k-min expects a number, got [1.0]"),
+    ("dt", _options.POSITIVE, 0.01, -1, "--dt must be positive, got -1.0"),
+    ("dt", _options.POSITIVE, 0.01, 0, "--dt must be positive, got 0.0"),
+    ("dt", _options.POSITIVE, 0.01, "inf", "--dt must be positive, got inf"),
+    ("dt", _options.POSITIVE, 0.01, "nan", "--dt must be positive, got nan"),
+]
+
+
 class TestOptionTables:
+    @pytest.mark.parametrize("name,kind,default,val,message", COERCE_ERRORS)
+    def test_coerce_messages(self, name, kind, default, val, message):
+        with pytest.raises(InputError) as exc:
+            _options._coerce(name, kind, default, val)
+        assert str(exc.value) == message
+
+    def test_numpy_values_coerce_without_numpy_checks(self):
+        n = _options._coerce("n", int, 256, np.int64(5))
+        assert (n, type(n)) == (5, int)
+        assert _options._coerce("dt", _options.POSITIVE, 0.01, np.float64(0.5)) == 0.5
+        for val in (np.bool_(True), np.float64(2.0)):
+            with pytest.raises(InputError, match="^--n expects an integer, got "):
+                _options._coerce("n", int, 256, val)
+
     @pytest.mark.parametrize("command,config,message", CONFIG_ERRORS)
     def test_bad_config_value_is_input_error(self, tmp_path, command, config, message):
         cfgfile = tmp_path / "run.yaml"

@@ -256,14 +256,26 @@ def test_certification_failure_carries_the_base_interpretation():
     (radiative(1e200), 0.1),
     (radiative(1e100), 0.0),
     (dalembert_diffusion(1e100), 0.0),
+    (collisional(1e308), 0.01),
+    (radiative(1e308), 0.1),
 ])
 def test_overflowing_certificate_scale_is_not_a_pass(params, k):
     # a root of size 4 times the rate overflows sum_j |c_j| |w|^j, where
     # |P| / inf = 0 would pass a check that never ran; the row fails, and
-    # numpy says nothing of the overflow (a RuntimeWarning fails the test)
+    # numpy says nothing of the overflow (a RuntimeWarning fails the test).
+    # At a rate of 1e308 the companion matrix itself overflows.
     with pytest.raises(NumericalFailureError) as exc:
         solve_roots(build_polynomial(params, k))
     assert np.all(exc.value.rootset.residuals == np.inf)
+
+
+def test_overflowing_companion_leaves_the_other_rows_alone():
+    # c_j / c_4 overflows in the collisional row at gamma = 1e308: its raw
+    # roots are NaN, and the finite row keeps the bits of its own solve
+    coef = np.array([build_polynomial(collisional(g), 0.3).coefficients for g in (1.0, 1e308)])
+    roots = dispersion._companion_roots(coef)
+    assert np.isnan(roots[1]).all()
+    assert roots[0].tobytes() == dispersion._companion_roots(coef[:1])[0].tobytes()
 
 
 def _stack_solves(polys):
