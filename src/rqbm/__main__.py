@@ -22,17 +22,17 @@ def _import_cli_frozen():
 
 
 def run() -> int:
-    """Run `rqbm._options.main` on `sys.argv` as the whole process, and end it with `os._exit`.
+    """Run the command line on `sys.argv` as the whole process, and end it with `os._exit`.
 
     An int `SystemExit` from argparse (--help, --version, usage errors) is the
     return code; it leaves before numpy is imported.  Any other exception,
     another `SystemExit` and a failed flush (a closed pipe) leave through the
     interpreter's normal exit.
     """
-    from ._options import main
+    from ._options import _main
 
     try:
-        rc = main(import_cli=_import_cli_frozen)
+        rc = _main(None, _import_cli_frozen)
     except SystemExit as exc:
         if not isinstance(exc.code, int):
             raise

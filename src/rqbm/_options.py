@@ -226,9 +226,14 @@ def _import_cli():
     return cli
 
 
-def main(argv=None, import_cli=_import_cli) -> int:
-    """Run one rqbm command line; the exit code.  `import_cli` returns the
-    `rqbm.cli` module, imported once argv has parsed."""
+def main(argv=None) -> int:
+    """Run one rqbm command line; the exit code."""
+    return _main(argv, _import_cli)
+
+
+def _main(argv, import_cli) -> int:
+    """`main`, with `import_cli` returning the `rqbm.cli` module once argv
+    has parsed; `python -m rqbm` passes one that freezes the import."""
     level = os.environ.get("RQBM_LOG", "WARNING").upper()
     logging.basicConfig(
         stream=sys.stderr,
