@@ -6,33 +6,21 @@ import os
 import sys
 
 
-def _import_cli_frozen():
-    """`rqbm.cli`, imported with the GC paused, and what the import built frozen.
-
-    The ~35k objects the import builds live until exit, so collecting them is
-    waste.  The parser's cyclic garbage is collected first, so it is not frozen.
-    """
-    gc.collect(1)
-    gc.disable()
-    from . import cli
-
-    gc.freeze()
-    gc.enable()
-    return cli
-
-
 def run() -> int:
     """Run the command line on `sys.argv` as the whole process, and end it with `os._exit`.
 
-    An int `SystemExit` from argparse (--help, --version, usage errors) is the
-    return code; it leaves before numpy is imported.  Any other exception,
-    another `SystemExit` and a failed flush (a closed pipe) leave through the
-    interpreter's normal exit.
+    The cyclic GC stays off for the whole process: the ~35k objects the
+    `rqbm.cli` import builds live until exit, and a run makes no cyclic
+    garbage that grows with its size.  An int `SystemExit` from argparse
+    (--help, --version, usage errors) is the return code; it leaves before
+    numpy is imported.  Any other exception, another `SystemExit` and a
+    failed flush (a closed pipe) leave through the interpreter's normal exit.
     """
-    from ._options import _main
+    gc.disable()
+    from ._options import main
 
     try:
-        rc = _main(None, _import_cli_frozen)
+        rc = main()
     except SystemExit as exc:
         if not isinstance(exc.code, int):
             raise

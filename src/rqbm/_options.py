@@ -127,6 +127,8 @@ def _coerce(name: str, kind, default, val):
             raise InputError(f"--{name} expects true or false, got {val!r}")
         return val
     if kind is str:
+        if not isinstance(val, str):
+            raise InputError(f"--{name} expects a string, got {val!r}")
         return val
     if kind is int:
         if isinstance(val, bool) or not (isinstance(val, numbers.Integral) or (
@@ -220,20 +222,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"rqbm: warning: {message}", file=sys.stderr)
 
 
-def _import_cli():
-    from . import cli
-
-    return cli
-
-
 def main(argv=None) -> int:
     """Run one rqbm command line; the exit code."""
-    return _main(argv, _import_cli)
-
-
-def _main(argv, import_cli) -> int:
-    """`main`, with `import_cli` returning the `rqbm.cli` module once argv
-    has parsed; `python -m rqbm` passes one that freezes the import."""
     level = os.environ.get("RQBM_LOG", "WARNING").upper()
     logging.basicConfig(
         stream=sys.stderr,
@@ -241,7 +231,8 @@ def _main(argv, import_cli) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    cli = import_cli()
+    from . import cli
+
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

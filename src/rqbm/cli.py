@@ -20,7 +20,6 @@ import math
 import os
 import pickle
 import re
-import sys
 import tempfile
 from dataclasses import replace
 
@@ -544,7 +543,3 @@ def _run_spectrum(cfg: dict) -> int:
                   result.rel_gap])
     log.info("wrote %d levels to %s", len(eps), cfg["out"])
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

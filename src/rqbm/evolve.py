@@ -110,6 +110,8 @@ def gaussian_packet(grid: Grid1D, sigma: float, kbar: float) -> ComplexField:
         raise InputError(f"sigma must be positive and finite, got {sigma!r}")
     if not np.isfinite(kbar):
         raise InputError(f"kbar must be finite, got {kbar!r}")
+    if sigma * sigma == 0.0:
+        raise InputError(f"packet width sigma {sigma!r} is too fine: its square underflows to 0")
     if grid.length < 12.0 * sigma:
         warnings.warn(
             f"packet sigma={sigma} has under 6 sigma of clearance in a box of "
@@ -124,12 +126,16 @@ def gaussian_packet(grid: Grid1D, sigma: float, kbar: float) -> ComplexField:
 
 def plane_wave(grid: Grid1D, k: float, amplitude: complex = 1.0) -> ComplexField:
     """exp(ikx) for a k that is exactly a grid mode (k L / 2 pi integer)."""
+    if not np.isfinite(k):
+        raise InputError(f"plane-wave k must be finite, got {k!r}")
+    if not np.isfinite(amplitude):
+        raise InputError(f"plane-wave amplitude must be finite, got {amplitude!r}")
     m = k * grid.length / (2.0 * np.pi)
+    if abs(m) >= grid.n // 2 - 0.5:  # |index| <= n//2 - 1 needs |m| < n//2 - 1/2
+        raise InputError(f"mode index {m:.6g} exceeds the resolvable band for n={grid.n}")
     mi = round(m)
     if abs(m - mi) > 1e-9 * max(1.0, abs(m)):
         raise InputError(f"k={k} is not a grid mode (k L / 2 pi = {m} not integer)")
-    if abs(mi) > grid.n // 2 - 1:
-        raise InputError(f"mode index {mi} exceeds the resolvable band for n={grid.n}")
     k_exact = 2.0 * np.pi * mi / grid.length
     return ComplexField(grid, amplitude * np.exp(1j * k_exact * grid.x))
 

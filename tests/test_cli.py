@@ -305,6 +305,22 @@ class TestEvolveCommand:
         assert r.returncode == 0, r.stderr
         assert r.stderr == f"rqbm: warning: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--init", "plane-wave", "--mode-k", "nan"], "plane-wave k must be finite, got nan"),
+        (["--init", "plane-wave", "--mode-k", "inf"], "plane-wave k must be finite, got inf"),
+        (["--init", "plane-wave", "--mode-k", "1e300"],
+         "mode index 1.59155e+301 exceeds the resolvable band for n=256"),
+        (["--init", "plane-wave", "--mode-k", "0", "--amplitude", "nan"],
+         "plane-wave amplitude must be finite, got nan"),
+        (["--init", "plane-wave", "--mode-k", "0", "--amplitude", "inf"],
+         "plane-wave amplitude must be finite, got inf"),
+        (["--sigma", "1e-300"],
+         "packet width sigma 1e-300 is too fine: its square underflows to 0"),
+    ], ids=["k-nan", "k-inf", "k-1e300", "amplitude-nan", "amplitude-inf", "sigma-1e-300"])
+    def test_bad_initial_field_is_one_input_error_line(self, tmp_path, argv, message):
+        r = run("evolve", "--out", tmp_path / "run", *argv)
+        assert (r.returncode, r.stderr) == (2, f"rqbm: input error: {message}\n")
+
 
 def evolve_in_process(out, *argv) -> None:
     assert cli.main(["evolve", "--out", str(out), *map(str, argv)]) == 0
@@ -845,14 +861,14 @@ class TestProcessEntry:
                 "print(loaded, gc.isenabled(), gc.get_freeze_count())\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (r.returncode, r.stdout, r.stderr) == (0, "False True 0\n", "")
-        # the process imports rqbm.cli once argv has parsed and freezes it before
-        # the runner starts; a library call of cli.main leaves the GC alone
+        # the process runs with the cyclic GC off and nothing frozen; a
+        # library call of cli.main leaves the GC as the caller set it
         argv = ["dispersion", "--model", "conservative", "--k-steps", "2", "--out", "x.csv"]
         entry = ("import gc, sys\n"
                  "import rqbm.dispersion as d\n"
                  "track = d.track_branches\n"
                  "def traced(*args):\n"
-                 "    print('rqbm.cli' in sys.modules, gc.get_freeze_count() > 0, gc.isenabled())\n"
+                 "    print('rqbm.cli' in sys.modules, gc.isenabled(), gc.get_freeze_count())\n"
                  "    return track(*args)\n"
                  "d.track_branches = traced\n"
                  "sys.argv[0] = 'rqbm'\n"
@@ -861,12 +877,12 @@ class TestProcessEntry:
         library = ("import gc, sys\n"
                    "from rqbm import cli\n"
                    "assert cli.main(sys.argv[1:]) == 0\n"
-                   "print(gc.get_freeze_count(), gc.isenabled())\n")
+                   "print(gc.isenabled(), gc.get_freeze_count())\n")
         got = [subprocess.run([sys.executable, "-c", c, *argv], capture_output=True, text=True,
                               cwd=tmp_path, env=buffered_env())
                for c in (entry, library)]
         assert [(r.returncode, r.stdout, r.stderr) for r in got] == [
-            (0, "True True True\n", ""), (0, "0 True\n", "")]
+            (0, "True False 0\n", ""), (0, "True 0\n", "")]
 
 
 def env_with_blas_threads(threads):
@@ -955,6 +971,10 @@ CONFIG_ERRORS = [
     ("evolve", 'density: "no"\n', "--density expects true or false, got 'no'"),
     ("spectrum", 'potential: box\nrichardson: "yes"\n',
      "--richardson expects true or false, got 'yes'"),
+    ("dispersion", "model: 5\n", "--model expects a string, got 5"),
+    ("dispersion", "model: [collisional]\n", "--model expects a string, got ['collisional']"),
+    ("spectrum", "potential: tabulated\npotential-file: 5\n",
+     "--potential-file expects a string, got 5"),
 ]
 
 
@@ -975,6 +995,9 @@ COERCE_ERRORS = [
     ("dt", _options.POSITIVE, 0.01, 0, "--dt must be positive, got 0.0"),
     ("dt", _options.POSITIVE, 0.01, "inf", "--dt must be positive, got inf"),
     ("dt", _options.POSITIVE, 0.01, "nan", "--dt must be positive, got nan"),
+    ("out", str, _options.REQUIRED, 5, "--out expects a string, got 5"),
+    ("out", str, _options.REQUIRED, ["a"], "--out expects a string, got ['a']"),
+    ("potential-file", str, None, 5.0, "--potential-file expects a string, got 5.0"),
 ]
 
 
@@ -1000,6 +1023,15 @@ class TestOptionTables:
         r = run(command, "--config", cfgfile, "--out", tmp_path / "out")
         assert r.returncode == 2
         assert f"input error: {message}" in r.stderr
+
+    @pytest.mark.parametrize("out,shown", [("5", "5"), ("[a]", "['a']")])
+    def test_out_from_config_must_be_a_string(self, tmp_path, out, shown):
+        # the table above passes --out, which overrides the config's value
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(f"model: conservative\nout: {out}\n")
+        r = run("dispersion", "--config", cfgfile)
+        assert (r.returncode, r.stderr) == (2, f"rqbm: input error: --out expects a string, "
+                                               f"got {shown}\n")
 
     def test_option_the_run_ignores_is_still_checked(self, tmp_path):
         r = run("evolve", "--out", tmp_path / "run", "--omega0", "-1", "--potential", "none")

@@ -121,6 +121,23 @@ class TestInitialConditions:
         with pytest.raises(InputError):
             gaussian_packet(g, sigma=1.0, kbar=np.nan)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-162, 5e-324])
+    def test_gaussian_packet_rejects_width_whose_square_underflows(self, sigma):
+        with pytest.raises(InputError, match="its square underflows to 0"):
+            gaussian_packet(Grid1D(64, 100.0), sigma=sigma, kbar=0.0)
+
+    @pytest.mark.parametrize("k,amplitude,message", [
+        (np.nan, 1.0, "plane-wave k must be finite, got nan"),
+        (-np.inf, 1.0, "plane-wave k must be finite, got -inf"),
+        (1.0, np.nan, "plane-wave amplitude must be finite, got nan"),
+        (1.0, complex(0.0, np.inf), "plane-wave amplitude must be finite, got infj"),
+        (1e300, 1.0, "mode index 1e+300 exceeds the resolvable band for n=16"),
+    ])
+    def test_plane_wave_rejects_non_finite_or_huge_input(self, k, amplitude, message):
+        with pytest.raises(InputError) as exc:
+            plane_wave(Grid1D(16, 2.0 * np.pi), k, amplitude)
+        assert str(exc.value) == message
+
     def test_plane_wave_requires_grid_mode(self):
         g = Grid1D(64, 2.0 * np.pi)
         psi = plane_wave(g, 3.0, amplitude=2.0j)
